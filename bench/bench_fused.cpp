@@ -34,7 +34,7 @@
 #include "harness/experiment.hh"
 #include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 #include "util/thread_pool.hh"

@@ -20,6 +20,7 @@
 #include "harness/experiment.hh"
 #include "util/str.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 using namespace occsim;
 

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "multi/shard_replay.hh"
 #include "obs/json.hh"
 #include "util/str.hh"
 #include "util/table.hh"
@@ -210,6 +211,28 @@ validateManifest(const JsonValue &doc)
                                  JsonValue::Kind::String, errors);
                     expectMember(route, "engine",
                                  JsonValue::Kind::String, errors);
+                    // The plan's shard count: 1 = unsharded, and only
+                    // the shard and fused routes split a run by set.
+                    expectMember(route, "shards",
+                                 JsonValue::Kind::Number, errors);
+                    const double shards = numberAt(route, "shards");
+                    const std::string engine = stringAt(route, "engine");
+                    if (route.find("shards") == nullptr) {
+                        // Reported as a missing key above.
+                    } else if (shards < 1.0 || shards > kMaxShards) {
+                        errors.push_back(strfmt(
+                            "config \"%s\" ran with %g shards (want 1 "
+                            "to %u)",
+                            stringAt(route, "name").c_str(), shards,
+                            kMaxShards));
+                    } else if (shards > 1.0 && engine != "shard" &&
+                               engine != "fused") {
+                        errors.push_back(strfmt(
+                            "config \"%s\" ran with %g shards on the "
+                            "%s route (only shard and fused shard)",
+                            stringAt(route, "name").c_str(), shards,
+                            engine.c_str()));
+                    }
                     // A sampled route's estimate must travel with
                     // its standard error (and vice versa).
                     const bool has_mean =

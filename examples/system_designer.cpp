@@ -26,6 +26,7 @@
 #include "mem/access_time.hh"
 #include "util/str.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 using namespace occsim;
 

@@ -11,9 +11,9 @@
 #include "cache/split_cache.hh"
 #include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/shard_replay.hh"
 #include "multi/single_pass.hh"
+#include "multi/sweep_api.hh"
 #include "multi/sweep_runner.hh"
 #include "trace/packed_trace.hh"
 
@@ -81,6 +81,21 @@ packTrace(const std::vector<MemRef> &refs)
     return t;
 }
 
+/** @p config alone over @p trace through runSweep under @p engine. */
+SweepResult
+sweepOne(const CacheConfig &config,
+         const std::shared_ptr<const VectorTrace> &trace,
+         SweepEngine engine)
+{
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = {config};
+    request.engine = engine;
+    request.wantAverage = false;
+    request.label = "differential";
+    return runSweep(request).perTrace[0][0];
+}
+
 } // namespace
 
 CaseReport
@@ -124,19 +139,11 @@ runDifferentialCase(const CacheConfig &config,
         const SweepResult direct_summary =
             summarizeSplit(config, split);
         const auto trace = packTrace(refs);
-        const std::vector<CacheConfig> configs{config};
-
-        ParallelSweepRunner direct_only(configs, nullptr,
-                                        SweepEngine::DirectOnly);
-        direct_only.run(trace);
         diffSweepResult("split-sweep-direct",
-                        direct_only.results()[0], direct_summary,
-                        report.diffs);
-
-        ParallelSweepRunner routed(configs, nullptr,
-                                   SweepEngine::Auto);
-        routed.run(trace);
-        diffSweepResult("split-sweep-auto", routed.results()[0],
+                        sweepOne(config, trace, SweepEngine::DirectOnly),
+                        direct_summary, report.diffs);
+        diffSweepResult("split-sweep-auto",
+                        sweepOne(config, trace, SweepEngine::Auto),
                         direct_summary, report.diffs);
         return report;
     }
@@ -165,16 +172,12 @@ runDifferentialCase(const CacheConfig &config,
     const auto trace = packTrace(refs);
     const std::vector<CacheConfig> configs{config};
 
-    ParallelSweepRunner direct_only(configs, nullptr,
-                                    SweepEngine::DirectOnly);
-    direct_only.run(trace);
-    diffSweepResult("sweep-direct", direct_only.results()[0],
+    diffSweepResult("sweep-direct",
+                    sweepOne(config, trace, SweepEngine::DirectOnly),
                     direct_summary, report.diffs);
-
-    ParallelSweepRunner routed(configs, nullptr, SweepEngine::Auto);
-    routed.run(trace);
-    diffSweepResult("sweep-auto", routed.results()[0], direct_summary,
-                    report.diffs);
+    diffSweepResult("sweep-auto",
+                    sweepOne(config, trace, SweepEngine::Auto),
+                    direct_summary, report.diffs);
 
     // Engine 4: the batched replay kernels standalone, driven with a
     // deliberately awkward tiling (tile of 1 config, 7-record chunks)

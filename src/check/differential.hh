@@ -7,9 +7,9 @@
  *
  *  1. ReferenceCache (the naive oracle) vs the direct Cache engine:
  *     every counter, histogram bucket, and derived metric.
- *  2. ParallelSweepRunner with SweepEngine::DirectOnly vs the direct
- *     Cache's SweepResult (the routing layer must be a no-op).
- *  3. ParallelSweepRunner with SweepEngine::Auto vs the same (this
+ *  2. runSweep with SweepEngine::DirectOnly vs the direct Cache's
+ *     SweepResult (the routing layer must be a no-op).
+ *  3. runSweep with SweepEngine::Auto vs the same (this
  *     exercises the SinglePassEngine fast path whenever the config
  *     is eligible, and the batched replay engine otherwise).
  *  4. A standalone BatchReplay run with a deliberately awkward

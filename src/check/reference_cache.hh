@@ -4,8 +4,8 @@
  * cache simulator written for auditability, not speed.
  *
  * occsim has three independent ways to price one cache configuration
- * — the direct Cache/SectorCache engines, the ParallelSweepRunner
- * routing layer, and the Fenwick-tree SinglePassEngine — all
+ * — the direct Cache/SectorCache engines, the runSweep routing
+ * layer, and the Fenwick-tree SinglePassEngine — all
  * promising bit-identical results. This file supplies the fourth,
  * trusted leg of the comparison: every structure is a plain
  * std::vector<bool> or an explicit list, every policy is written out

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cache/cache_config.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_runner.hh"
 #include "workload/suites.hh"
 

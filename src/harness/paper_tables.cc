@@ -28,11 +28,9 @@ runTable6(std::ostream &os)
         configs.push_back(config);
     }
 
-    // A probe forces runner-per-trace execution so the 360/85's
-    // residency distribution can be read off its finished Cache
-    // (config 0 is sector-organized, hence batched — it keeps one);
-    // each per-trace sweep still runs its configs in parallel over
-    // the shared trace.
+    // A probe keeps a finished Cache for every batched config, so the
+    // 360/85's residency distribution can be read off its Cache
+    // (config 0 is sector-organized, hence batched).
     double never_ref_sum = 0.0;
     double mean_touched_sum = 0.0;
     SweepRequest request;
@@ -40,11 +38,9 @@ runTable6(std::ostream &os)
     request.configs = configs;
     request.label = "table6";
     request.probe = [&](std::size_t,
-                        const ParallelSweepRunner &runner) {
-        never_ref_sum +=
-            runner.cache(0).stats().neverReferencedFraction();
-        mean_touched_sum +=
-            runner.cache(0).stats().meanSubBlocksTouched();
+                        const std::vector<const Cache *> &caches) {
+        never_ref_sum += caches[0]->stats().neverReferencedFraction();
+        mean_touched_sum += caches[0]->stats().meanSubBlocksTouched();
     };
     const auto averaged = runSweep(request).average;
     const double base_miss = averaged[0].missRatio;

@@ -5,7 +5,10 @@
 #include <functional>
 
 #include "coherence/coherent_system.hh"
-#include "multi/sweep_detail.hh"
+#include "multi/batch_replay.hh"
+#include "multi/fused_replay.hh"
+#include "multi/shard_replay.hh"
+#include "multi/single_pass.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -13,591 +16,371 @@ namespace occsim {
 
 namespace {
 
-using sweep_detail::partitionConfigs;
-using sweep_detail::poolOrGlobal;
-using sweep_detail::selectConfigs;
-
-/** Per-trace reference limit under @p max_refs (0 = whole trace). */
-std::uint64_t
-traceLimit(const VectorTrace &trace, std::uint64_t max_refs)
+ThreadPool &
+poolOrGlobal(ThreadPool *pool)
 {
-    const std::uint64_t size = trace.refs().size();
+    return pool != nullptr ? *pool : globalThreadPool();
+}
+
+/** References one config consumes from a trace of @p size records
+ *  under @p max_refs (0 = whole trace). */
+std::uint64_t
+capRefs(std::uint64_t size, std::uint64_t max_refs)
+{
     return max_refs == 0 ? size : std::min(max_refs, size);
 }
 
-/** Set-sharded engine activity of one sweep, for the manifest. */
-struct ShardInfo
+/** Bitwise SweepResult equality (every engine's contract). */
+bool
+sameSweepResult(const SweepResult &a, const SweepResult &b)
 {
-    ShardTelemetry telem;
-    /** shardedConfigs[c]: config c was sharded on >= 1 trace. */
-    std::vector<bool> shardedConfigs;
-};
-
-/** Fused group engine activity of one sweep, for the manifest. */
-struct FusedInfo
-{
-    std::size_t fusedRuns = 0;  ///< (trace, group) passes run
-    /** fusedConfigs[c]: config c rode a fused pass on >= 1 trace. */
-    std::vector<bool> fusedConfigs;
-};
-
-/**
- * Verification / probe path: one ParallelSweepRunner per trace (still
- * parallel within each trace), so per-config shadows exist
- * (CrossCheck) and finished Caches can be inspected (probe). A probe
- * pins its runners off the set-sharded engine — probes read
- * runner.cache(i), which sharded configs cannot serve.
- */
-std::uint64_t
-runPerTraceRunners(const SweepRequest &request, SweepReport &report,
-                   std::size_t &cross_check_samples,
-                   ShardInfo &shard_info, FusedInfo &fused_info)
-{
-    std::uint64_t refs = 0;
-    report.perTrace.reserve(request.traces.size());
-    for (std::size_t t = 0; t < request.traces.size(); ++t) {
-        ParallelSweepRunner runner(request.configs, request.pool,
-                                   request.engine,
-                                   /*allow_sharding=*/!request.probe);
-        refs += runner.run(request.traces[t], request.maxRefs);
-        cross_check_samples += runner.crossCheckCount();
-        shard_info.telem.accumulate(runner.shardTelemetry());
-        fused_info.fusedRuns += runner.fusedGroupCount();
-        for (std::size_t c = 0; c < request.configs.size(); ++c) {
-            if (runner.sharded(c))
-                shard_info.shardedConfigs[c] = true;
-            if (runner.fused(c))
-                fused_info.fusedConfigs[c] = true;
-        }
-        if (request.probe)
-            request.probe(t, runner);
-        report.perTrace.push_back(runner.results());
-    }
-    return refs;
+    return a.grossBytes == b.grossBytes &&
+           a.missRatio == b.missRatio &&
+           a.warmMissRatio == b.warmMissRatio &&
+           a.trafficRatio == b.trafficRatio &&
+           a.warmTrafficRatio == b.warmTrafficRatio &&
+           a.nibbleTrafficRatio == b.nibbleTrafficRatio &&
+           a.warmNibbleTrafficRatio == b.warmNibbleTrafficRatio;
 }
 
-/**
- * Grid path: the whole (trace, config) grid flattened to one task
- * list over the pool — batch tiles plus single-pass levels plus
- * direct per-config tasks. Each task writes only its own caches/
- * levels/tiles, so scheduling order cannot affect the results.
- */
-std::uint64_t
-runFlattenedGrid(const SweepRequest &request, SweepReport &report,
-                 ShardInfo &shard_info, FusedInfo &fused_info)
+/** One sweep input: a MemRef stream, its packed records, or both. */
+struct TraceInput
 {
-    const auto &traces = request.traces;
-    const auto &configs = request.configs;
-    const std::uint64_t max_refs = request.maxRefs;
+    /** Null for packedTraces inputs. */
+    const VectorTrace *refs = nullptr;
+    /** Decoded on demand for MemRef inputs (memoized per trace). */
+    std::shared_ptr<const PackedTrace> packed;
+    std::uint64_t limit = 0;
+};
 
-    report.perTrace.assign(traces.size(),
-                           std::vector<SweepResult>(configs.size()));
-    auto &out = report.perTrace;
+/**
+ * The engine instance of one (trace, route group) and the pool tasks
+ * that drive it. Each task touches only its own tile, level, shard or
+ * member, so scheduling order cannot affect the results.
+ */
+struct GroupRun
+{
+    const RouteGroup *group = nullptr;
+    std::size_t trace = 0;
+    std::size_t tasks = 0;
+    std::unique_ptr<BatchReplay> batch;
+    std::unique_ptr<FusedReplay> fused;
+    std::unique_ptr<ShardReplay> shard;
+    std::unique_ptr<SinglePassEngine> singlePass;
+    std::shared_ptr<const ShardedPackedTrace> sharded;
+    /** Direct route with a probe: each member's finished Cache. */
+    std::vector<std::unique_ptr<Cache>> caches;
+    /** Direct, split and coherent routes: one summary per member. */
+    std::vector<SweepResult> results;
+};
 
-    const sweep_detail::ConfigPartition part =
-        partitionConfigs(configs, request.engine);
+std::vector<CacheConfig>
+selectConfigs(const std::vector<CacheConfig> &configs,
+              const std::vector<std::size_t> &indices)
+{
+    std::vector<CacheConfig> out;
+    out.reserve(indices.size());
+    for (const std::size_t i : indices)
+        out.push_back(configs[i]);
+    return out;
+}
 
-    // Split I/D configs always get a dedicated SplitCache pair task:
-    // the pair routes by reference kind, which no batched kernel
-    // models.
-    std::vector<std::size_t> split_list;
-    std::vector<std::size_t> direct;
-    for (const std::size_t c : part.direct) {
-        if (configs[c].partition == CachePartition::SplitID)
-            split_list.push_back(c);
+/** Build the engine of @p run and count its tasks. */
+void
+prepareGroup(GroupRun &run, const TraceInput &input,
+             const std::vector<CacheConfig> &configs)
+{
+    const RouteGroup &group = *run.group;
+    switch (group.route) {
+    case Route::Batch:
+        run.batch = std::make_unique<BatchReplay>(
+            selectConfigs(configs, group.configs));
+        run.tasks = run.batch->numTiles();
+        return;
+    case Route::Fused:
+        run.fused = std::make_unique<FusedReplay>(
+            selectConfigs(configs, group.configs), group.shards);
+        if (group.shards == 1) {
+            // Unsharded: one task drives the group pass straight off
+            // the packed records, no partition copy.
+            run.tasks = 1;
+            return;
+        }
+        run.sharded = shardedTraceShared(input.packed,
+                                         run.fused->blockBits(),
+                                         run.fused->shardBits(),
+                                         input.limit);
+        run.tasks = group.shards;
+        return;
+    case Route::Shard:
+        run.shard = std::make_unique<ShardReplay>(
+            configs[group.configs.front()], group.shards);
+        // Memoized per (trace, blockBits, shardBits): configs agreeing
+        // on the block size share one partition.
+        run.sharded = shardedTraceShared(input.packed,
+                                         run.shard->blockBits(),
+                                         run.shard->shardBits(),
+                                         input.limit);
+        run.tasks = group.shards;
+        return;
+    case Route::SinglePass:
+        run.singlePass = std::make_unique<SinglePassEngine>(
+            selectConfigs(configs, group.configs));
+        run.tasks = run.singlePass->numLevels();
+        return;
+    case Route::Direct:
+        run.caches.resize(group.configs.size());
+        [[fallthrough]];
+    case Route::Split:
+    case Route::Coherent:
+        run.results.resize(group.configs.size());
+        run.tasks = group.configs.size();
+        return;
+    }
+}
+
+/** Run task @p task of @p run: a batch tile, a fused pass or shard, a
+ *  set shard, a single-pass level, or one member config. */
+void
+runTask(GroupRun &run, std::size_t task, const TraceInput &input,
+        const SweepRequest &request, bool keep_caches)
+{
+    const RouteGroup &group = *run.group;
+    const std::uint64_t limit = input.limit;
+    const auto n = static_cast<std::size_t>(limit);
+    const std::size_t record_bytes =
+        input.refs != nullptr ? sizeof(MemRef) : sizeof(PackedRecord);
+    switch (group.route) {
+    case Route::Batch:
+        run.batch->runTile(task, *input.packed, limit);
+        return;
+    case Route::Fused:
+        if (group.shards == 1)
+            run.fused->run(input.packed->data(), n);
         else
-            direct.push_back(c);
+            run.fused->runShard(task, *run.sharded);
+        return;
+    case Route::Shard:
+        run.shard->runShard(task, *run.sharded);
+        return;
+    case Route::SinglePass:
+        run.singlePass->runLevel(task, *input.refs, limit);
+        return;
+    case Route::Direct: {
+        OCCSIM_TELEM_STAGE("engine.direct");
+        const CacheConfig &config = request.configs[group.configs[task]];
+        auto cache = std::make_unique<Cache>(config);
+        const std::vector<MemRef> &refs = input.refs->refs();
+        for (std::size_t r = 0; r < n; ++r)
+            cache->access(refs[r]);
+        cache->finalizeResidencies();
+        run.results[task] = summarizeCache(*cache);
+        if (keep_caches)
+            run.caches[task] = std::move(cache);
+        OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
+        OCCSIM_TELEM_COUNT("engine.direct.bytes", limit * record_bytes);
+        return;
     }
-
-    // Fast path: one single-pass engine per (trace, block-size
-    // group), parallelized one task per (engine, set-count level).
-    std::vector<std::vector<CacheConfig>> group_configs;
-    group_configs.reserve(part.groups.size());
-    for (const auto &group : part.groups)
-        group_configs.push_back(selectConfigs(configs, group));
-
-    const std::size_t num_groups = part.groups.size();
-    std::vector<std::unique_ptr<SinglePassEngine>> engines(
-        traces.size() * num_groups);
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            engines[t * num_groups + g] =
-                std::make_unique<SinglePassEngine>(group_configs[g]);
-        }
-    }
-
-    // Non-eligible configs: under Auto, fusable groups of two or more
-    // FusedKey-sharing configs ride one fused group pass per trace,
-    // the rest go to one batched replay engine per trace over the
-    // shared packed trace, parallelized per config tile — except the
-    // (trace, config) runs shouldShard routes to the set-sharded
-    // engine (fused groups shard as a unit), each split into one task
-    // per shard; under DirectOnly, one plain Cache task per (trace,
-    // config) pair.
-    const bool batched = request.engine != SweepEngine::DirectOnly &&
-                         !direct.empty();
-
-    // The grouping is pure config geometry, so it is shared by every
-    // trace; shard decisions are per trace (lengths differ).
-    std::vector<std::vector<std::size_t>> fused_groups;
-    std::vector<std::size_t> residual = direct;
-    if (batched) {
-        residual.clear();
-        std::vector<bool> in_group(configs.size(), false);
-        for (auto &group : fusedGroups(configs, direct)) {
-            if (group.size() < 2)
-                continue;
-            for (const std::size_t c : group)
-                in_group[c] = true;
-            fused_groups.push_back(std::move(group));
-        }
-        for (const std::size_t c : direct) {
-            if (!in_group[c])
-                residual.push_back(c);
-        }
-    }
-    std::vector<std::vector<std::unique_ptr<FusedReplay>>>
-        fused_engines(traces.size());
-
-    std::vector<std::unique_ptr<BatchReplay>> batches;
-    std::vector<std::shared_ptr<const PackedTrace>> packed;
-    // Per trace: which residual configs stay batched, which shard.
-    std::vector<std::vector<std::size_t>> batch_index(traces.size());
-    std::vector<std::vector<std::size_t>> shard_index(traces.size());
-    std::vector<std::vector<std::unique_ptr<ShardReplay>>>
-        shard_engines(traces.size());
-    if (batched) {
-        const unsigned threads =
-            static_cast<unsigned>(poolOrGlobal(request.pool).size());
-        const ShardMode shard_mode = shardModeFromEnv();
-        // Task inventory if nothing shards: batch tiles, fused group
-        // passes, plus single-pass levels, over every trace.
-        std::size_t levels_per_trace = 0;
-        for (std::size_t g = 0; g < num_groups; ++g)
-            levels_per_trace += engines[g]->numLevels();
-        const std::size_t tiles_per_trace =
-            (residual.size() + BatchReplay::kDefaultTileConfigs - 1) /
-            BatchReplay::kDefaultTileConfigs;
-        const std::size_t competing =
-            traces.size() * (tiles_per_trace + fused_groups.size() +
-                             levels_per_trace);
-
-        batches.resize(traces.size());
-        packed.reserve(traces.size());
-        for (std::size_t t = 0; t < traces.size(); ++t) {
-            const std::uint64_t limit =
-                traceLimit(*traces[t], max_refs);
-            for (const auto &group : fused_groups) {
-                const CacheConfig &rep = configs[group.front()];
-                const bool shard =
-                    shouldShard(shard_mode, rep, threads, limit,
-                                competing);
-                fused_engines[t].push_back(
-                    std::make_unique<FusedReplay>(
-                        selectConfigs(configs, group),
-                        shard ? planShardCount(rep, threads) : 1));
-            }
-            for (const std::size_t c : residual) {
-                if (shouldShard(shard_mode, configs[c], threads,
-                                limit, competing)) {
-                    shard_index[t].push_back(c);
-                    shard_engines[t].push_back(
-                        std::make_unique<ShardReplay>(
-                            configs[c],
-                            planShardCount(configs[c], threads)));
-                } else {
-                    batch_index[t].push_back(c);
-                }
-            }
-            if (!batch_index[t].empty()) {
-                batches[t] = std::make_unique<BatchReplay>(
-                    selectConfigs(configs, batch_index[t]));
-            }
-            packed.push_back(packedTraceShared(traces[t]));
-        }
-    }
-
-    // Flatten everything to one task list: every (trace, direct
-    // config) pair or (trace, tile) pair, plus every (trace, group,
-    // level) triple.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(traces.size() *
-                  (part.direct.size() + num_groups));
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        if (batched) {
-            if (batches[t] != nullptr) {
-                for (std::size_t tile = 0;
-                     tile < batches[t]->numTiles(); ++tile) {
-                    tasks.push_back(
-                        [&batches, &packed, max_refs, t, tile] {
-                            batches[t]->runTile(tile, *packed[t],
-                                                max_refs);
-                        });
-                }
-            }
-            const std::uint64_t limit =
-                traceLimit(*traces[t], max_refs);
-            for (auto &engine : fused_engines[t]) {
-                FusedReplay *eng = engine.get();
-                if (eng->numShards() == 1) {
-                    // Unsharded: drive the group pass straight off
-                    // the packed records, no partition copy.
-                    const PackedTrace *ptrace = packed[t].get();
-                    tasks.push_back([eng, ptrace, limit] {
-                        eng->run(ptrace->data(), limit);
-                    });
-                    continue;
-                }
-                auto strace = shardedTraceShared(
-                    packed[t], eng->blockBits(), eng->shardBits(),
-                    limit);
-                for (std::uint32_t s = 0; s < eng->numShards(); ++s) {
-                    tasks.push_back([eng, strace, s] {
-                        eng->runShard(s, *strace);
-                    });
-                }
-            }
-            for (auto &engine : shard_engines[t]) {
-                // Partition the packed trace for this engine's
-                // (blockBits, shardBits); memoized, so configs
-                // agreeing on the block size share one partition.
-                auto strace = shardedTraceShared(
-                    packed[t], engine->blockBits(),
-                    engine->shardBits(), limit);
-                ShardReplay *eng = engine.get();
-                for (std::uint32_t s = 0; s < eng->numShards(); ++s) {
-                    tasks.push_back([eng, strace, s] {
-                        eng->runShard(s, *strace);
-                    });
-                }
-            }
+    case Route::Split: {
+        OCCSIM_TELEM_STAGE("engine.direct");
+        const CacheConfig &config = request.configs[group.configs[task]];
+        SplitCache pair = makeEvenSplit(config);
+        if (input.refs != nullptr) {
+            const std::vector<MemRef> &refs = input.refs->refs();
+            for (std::size_t r = 0; r < n; ++r)
+                pair.access(refs[r]);
         } else {
-            for (const std::size_t c : direct) {
-                tasks.push_back([&, t, c] {
-                    OCCSIM_TELEM_STAGE("engine.direct");
-                    const std::vector<MemRef> &refs =
-                        traces[t]->refs();
-                    const std::uint64_t limit =
-                        traceLimit(*traces[t], max_refs);
-                    Cache cache(configs[c]);
-                    for (std::uint64_t r = 0; r < limit; ++r)
-                        cache.access(refs[r]);
-                    cache.finalizeResidencies();
-                    out[t][c] = summarizeCache(cache);
-                    OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                    OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                       limit * sizeof(MemRef));
-                });
-            }
+            pair.replayPacked(input.packed->data(), n);
         }
-        for (const std::size_t c : split_list) {
-            tasks.push_back([&, t, c] {
-                OCCSIM_TELEM_STAGE("engine.direct");
-                const std::vector<MemRef> &refs = traces[t]->refs();
-                const std::uint64_t limit =
-                    traceLimit(*traces[t], max_refs);
-                SplitCache pair = makeEvenSplit(configs[c]);
-                for (std::uint64_t r = 0; r < limit; ++r)
-                    pair.access(refs[r]);
-                pair.finalizeResidencies();
-                out[t][c] = summarizeSplit(configs[c], pair);
-                OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                   limit * sizeof(MemRef));
-            });
-        }
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            SinglePassEngine &eng = *engines[t * num_groups + g];
-            for (std::size_t l = 0; l < eng.numLevels(); ++l) {
-                tasks.push_back([&eng, &traces, max_refs, t, l] {
-                    eng.runLevel(l, *traces[t], max_refs);
-                });
-            }
-        }
+        pair.finalizeResidencies();
+        run.results[task] = summarizeSplit(config, pair);
+        OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
+        OCCSIM_TELEM_COUNT("engine.direct.bytes", limit * record_bytes);
+        return;
     }
-
-    poolOrGlobal(request.pool)
-        .parallelFor(tasks.size(),
-                     [&](std::size_t i) { tasks[i](); });
-
-    std::uint64_t refs = 0;
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        refs += traceLimit(*traces[t], max_refs);
-        if (batched) {
-            if (batches[t] != nullptr) {
-                const auto results = batches[t]->results();
-                for (std::size_t k = 0; k < results.size(); ++k)
-                    out[t][batch_index[t][k]] = results[k];
-            }
-            for (std::size_t k = 0; k < shard_engines[t].size();
-                 ++k) {
-                out[t][shard_index[t][k]] =
-                    shard_engines[t][k]->result();
-                shard_info.telem.accumulate(*shard_engines[t][k]);
-                shard_info.shardedConfigs[shard_index[t][k]] = true;
-            }
-            for (std::size_t g = 0; g < fused_engines[t].size();
-                 ++g) {
-                const FusedReplay &eng = *fused_engines[t][g];
-                const auto results = eng.results();
-                for (std::size_t k = 0; k < results.size(); ++k) {
-                    out[t][fused_groups[g][k]] = results[k];
-                    fused_info.fusedConfigs[fused_groups[g][k]] =
-                        true;
-                }
-                ++fused_info.fusedRuns;
-                if (eng.numShards() > 1)
-                    shard_info.telem.accumulate(eng);
-            }
+    case Route::Coherent: {
+        OCCSIM_TELEM_STAGE("engine.coherent");
+        const CacheConfig &config = request.configs[group.configs[task]];
+        CoherentSystem system(request.scenario, config);
+        if (input.refs != nullptr) {
+            const std::vector<MemRef> &refs = input.refs->refs();
+            for (std::size_t r = 0; r < n; ++r)
+                system.access(refs[r]);
+        } else {
+            system.replayPacked(input.packed->data(), n);
         }
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            const auto results =
-                engines[t * num_groups + g]->results();
-            for (std::size_t k = 0; k < results.size(); ++k)
-                out[t][part.groups[g][k]] = results[k];
-        }
+        system.finalize();
+        run.results[task] = summarizeCoherent(config, system);
+        OCCSIM_TELEM_COUNT("engine.coherent.refs", limit);
+        OCCSIM_TELEM_COUNT("engine.coherent.bytes", limit * record_bytes);
+        return;
     }
-    return refs;
+    }
 }
 
-/**
- * Packed path: replay already packed traces (typically corpus files
- * mapped read-only) with no MemRef stream in sight. Every config goes
- * through the batch engine's config tiles — or the set-sharded engine
- * where shouldShard routes it — so the task shapes and results are
- * exactly those the flattened grid produces for its non-single-pass
- * configs.
- */
-std::uint64_t
-runPackedGrid(const SweepRequest &request, SweepReport &report,
-              ShardInfo &shard_info, FusedInfo &fused_info)
+/** Summaries of @p run's members, in group order. */
+std::vector<SweepResult>
+groupResults(const GroupRun &run)
 {
-    const auto &traces = request.packedTraces;
-    const auto &configs = request.configs;
-    const std::uint64_t max_refs = request.maxRefs;
-
-    report.perTrace.assign(traces.size(),
-                           std::vector<SweepResult>(configs.size()));
-    auto &out = report.perTrace;
-
-    // Split I/D configs get dedicated SplitCache pair tasks over the
-    // packed records; fusable groups next (shared by every trace —
-    // the grouping is pure config geometry); the residual goes to
-    // batch/shard.
-    std::vector<std::size_t> split_list;
-    std::vector<std::size_t> candidates;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (configs[c].partition == CachePartition::SplitID)
-            split_list.push_back(c);
-        else
-            candidates.push_back(c);
+    switch (run.group->route) {
+    case Route::Batch:
+        return run.batch->results();
+    case Route::Fused:
+        return run.fused->results();
+    case Route::Shard:
+        return {run.shard->result()};
+    case Route::SinglePass:
+        return run.singlePass->results();
+    case Route::Direct:
+    case Route::Split:
+    case Route::Coherent:
+        break;
     }
-    std::vector<std::vector<std::size_t>> fused_groups;
-    std::vector<bool> in_group(configs.size(), false);
-    for (auto &group : fusedGroups(configs, candidates)) {
-        if (group.size() < 2)
-            continue;
-        for (const std::size_t c : group)
-            in_group[c] = true;
-        fused_groups.push_back(std::move(group));
-    }
-    std::vector<std::size_t> residual;
-    for (const std::size_t c : candidates) {
-        if (!in_group[c])
-            residual.push_back(c);
-    }
-    std::vector<std::vector<std::unique_ptr<FusedReplay>>>
-        fused_engines(traces.size());
-
-    const unsigned threads =
-        static_cast<unsigned>(poolOrGlobal(request.pool).size());
-    const ShardMode shard_mode = shardModeFromEnv();
-    const std::size_t tiles_per_trace =
-        (residual.size() + BatchReplay::kDefaultTileConfigs - 1) /
-        BatchReplay::kDefaultTileConfigs;
-    const std::size_t competing =
-        traces.size() * (tiles_per_trace + fused_groups.size());
-
-    std::vector<std::unique_ptr<BatchReplay>> batches(traces.size());
-    std::vector<std::vector<std::size_t>> batch_index(traces.size());
-    std::vector<std::vector<std::size_t>> shard_index(traces.size());
-    std::vector<std::vector<std::unique_ptr<ShardReplay>>>
-        shard_engines(traces.size());
-
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        const std::uint64_t limit =
-            max_refs == 0
-                ? traces[t]->size()
-                : std::min<std::uint64_t>(max_refs, traces[t]->size());
-        for (const auto &group : fused_groups) {
-            const CacheConfig &rep = configs[group.front()];
-            const bool shard = shouldShard(shard_mode, rep, threads,
-                                           limit, competing);
-            auto engine = std::make_unique<FusedReplay>(
-                selectConfigs(configs, group),
-                shard ? planShardCount(rep, threads) : 1);
-            FusedReplay *eng = engine.get();
-            if (eng->numShards() == 1) {
-                const PackedTrace *ptrace = traces[t].get();
-                tasks.push_back([eng, ptrace, limit] {
-                    eng->run(ptrace->data(), limit);
-                });
-            } else {
-                auto strace = shardedTraceShared(
-                    traces[t], eng->blockBits(), eng->shardBits(),
-                    limit);
-                for (std::uint32_t s = 0; s < eng->numShards();
-                     ++s) {
-                    tasks.push_back([eng, strace, s] {
-                        eng->runShard(s, *strace);
-                    });
-                }
-            }
-            fused_engines[t].push_back(std::move(engine));
-        }
-        for (const std::size_t c : residual) {
-            if (shouldShard(shard_mode, configs[c], threads, limit,
-                            competing)) {
-                shard_index[t].push_back(c);
-                shard_engines[t].push_back(
-                    std::make_unique<ShardReplay>(
-                        configs[c],
-                        planShardCount(configs[c], threads)));
-            } else {
-                batch_index[t].push_back(c);
-            }
-        }
-        if (!batch_index[t].empty()) {
-            batches[t] = std::make_unique<BatchReplay>(
-                selectConfigs(configs, batch_index[t]));
-            for (std::size_t tile = 0; tile < batches[t]->numTiles();
-                 ++tile) {
-                tasks.push_back([&batches, &traces, max_refs, t, tile] {
-                    batches[t]->runTile(tile, *traces[t], max_refs);
-                });
-            }
-        }
-        for (auto &engine : shard_engines[t]) {
-            auto strace =
-                shardedTraceShared(traces[t], engine->blockBits(),
-                                   engine->shardBits(), limit);
-            ShardReplay *eng = engine.get();
-            for (std::uint32_t s = 0; s < eng->numShards(); ++s) {
-                tasks.push_back(
-                    [eng, strace, s] { eng->runShard(s, *strace); });
-            }
-        }
-        for (const std::size_t c : split_list) {
-            tasks.push_back([&, t, c, limit] {
-                OCCSIM_TELEM_STAGE("engine.direct");
-                SplitCache pair = makeEvenSplit(configs[c]);
-                pair.replayPacked(traces[t]->data(),
-                                  static_cast<std::size_t>(limit));
-                pair.finalizeResidencies();
-                out[t][c] = summarizeSplit(configs[c], pair);
-                OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                   limit * sizeof(PackedRecord));
-            });
-        }
-    }
-
-    poolOrGlobal(request.pool)
-        .parallelFor(tasks.size(),
-                     [&](std::size_t i) { tasks[i](); });
-
-    std::uint64_t refs = 0;
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        refs += max_refs == 0
-                    ? traces[t]->size()
-                    : std::min<std::uint64_t>(max_refs,
-                                              traces[t]->size());
-        if (batches[t] != nullptr) {
-            const auto results = batches[t]->results();
-            for (std::size_t k = 0; k < results.size(); ++k)
-                out[t][batch_index[t][k]] = results[k];
-        }
-        for (std::size_t k = 0; k < shard_engines[t].size(); ++k) {
-            out[t][shard_index[t][k]] = shard_engines[t][k]->result();
-            shard_info.telem.accumulate(*shard_engines[t][k]);
-            shard_info.shardedConfigs[shard_index[t][k]] = true;
-        }
-        for (std::size_t g = 0; g < fused_engines[t].size(); ++g) {
-            const FusedReplay &eng = *fused_engines[t][g];
-            const auto results = eng.results();
-            for (std::size_t k = 0; k < results.size(); ++k) {
-                out[t][fused_groups[g][k]] = results[k];
-                fused_info.fusedConfigs[fused_groups[g][k]] = true;
-            }
-            ++fused_info.fusedRuns;
-            if (eng.numShards() > 1)
-                shard_info.telem.accumulate(eng);
-        }
-    }
-    return refs;
+    return run.results;
 }
 
+/** How one config was routed across the traces of a sweep. */
+struct ConfigRouting
+{
+    Route route = Route::Batch;
+    bool fused = false;   ///< a fused pass priced it on >= 1 trace
+    bool sharded = false; ///< the set-sharded engine did
+    std::uint32_t shards = 1;
+};
+
+/** Sweep-wide engine activity, for the manifest. */
+struct ExecInfo
+{
+    std::vector<ConfigRouting> routing;
+    ShardTelemetry shards;
+    std::size_t fusedRuns = 0;  ///< (trace, group) fused passes run
+    std::size_t crossCheckSamples = 0;
+};
+
 /**
- * Scenario path: every (trace, config) pair is one CoherentSystem
- * task — the coherent engine is a strictly serial bus model, so the
- * grid cell is the unit of parallelism. Serves both the MemRef and
- * the packed-trace inputs (core routing comes from MemRef::core /
- * the packed core bits either way).
+ * Run @p plan over the request's traces: every (trace, route group)
+ * engine is built up front, then all of their tasks — plus one
+ * shadow direct Cache per (trace, CrossCheck shadow) — run in a
+ * single parallelFor. Afterwards the shadows are verified bitwise and
+ * the probe sees each trace's finished Caches.
  */
 std::uint64_t
-runScenarioGrid(const SweepRequest &request, SweepReport &report)
+executePlan(const SweepRequest &request, const RoutePlan &plan,
+            const std::vector<TraceInput> &inputs, SweepReport &report,
+            ExecInfo &info)
 {
-    const auto &configs = request.configs;
-    const std::uint64_t max_refs = request.maxRefs;
-    const bool packed_path = !request.packedTraces.empty();
-    const std::size_t num_traces = packed_path
-                                       ? request.packedTraces.size()
-                                       : request.traces.size();
+    const std::vector<CacheConfig> &configs = request.configs;
+    const bool keep_caches = static_cast<bool>(request.probe);
+    const std::size_t num_shadows = plan.shadows.size();
 
-    report.perTrace.assign(num_traces,
-                           std::vector<SweepResult>(configs.size()));
-    auto &out = report.perTrace;
-
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(num_traces * configs.size());
-    std::uint64_t refs = 0;
-    for (std::size_t t = 0; t < num_traces; ++t) {
-        const std::uint64_t limit =
-            packed_path
-                ? (max_refs == 0
-                       ? request.packedTraces[t]->size()
-                       : std::min<std::uint64_t>(
-                             max_refs, request.packedTraces[t]->size()))
-                : traceLimit(*request.traces[t], max_refs);
-        refs += limit;
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            tasks.push_back([&, t, c, limit] {
-                OCCSIM_TELEM_STAGE("engine.coherent");
-                CoherentSystem system(request.scenario, configs[c]);
-                if (packed_path) {
-                    system.replayPacked(
-                        request.packedTraces[t]->data(),
-                        static_cast<std::size_t>(limit));
-                } else {
-                    const std::vector<MemRef> &trace_refs =
-                        request.traces[t]->refs();
-                    for (std::uint64_t r = 0; r < limit; ++r)
-                        system.access(trace_refs[r]);
-                }
-                system.finalize();
-                out[t][c] = summarizeCoherent(configs[c], system);
-                OCCSIM_TELEM_COUNT("engine.coherent.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.coherent.bytes",
-                                   limit * (packed_path
-                                                ? sizeof(PackedRecord)
-                                                : sizeof(MemRef)));
-            });
+    std::vector<GroupRun> runs;
+    for (std::size_t t = 0; t < inputs.size(); ++t) {
+        for (const RouteGroup &group : plan.perTrace[t]) {
+            GroupRun run;
+            run.group = &group;
+            run.trace = t;
+            prepareGroup(run, inputs[t], configs);
+            runs.push_back(std::move(run));
         }
     }
+
+    // (run, task) pairs; a run of SIZE_MAX marks a shadow task whose
+    // index is t * num_shadows + s.
+    constexpr std::size_t kShadow = ~std::size_t{0};
+    std::vector<std::pair<std::size_t, std::size_t>> tasks;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        for (std::size_t k = 0; k < runs[r].tasks; ++k)
+            tasks.emplace_back(r, k);
+    }
+    for (std::size_t k = 0; k < inputs.size() * num_shadows; ++k)
+        tasks.emplace_back(kShadow, k);
+
+    std::vector<SweepResult> shadow_results(inputs.size() * num_shadows);
     poolOrGlobal(request.pool)
-        .parallelFor(tasks.size(),
-                     [&](std::size_t i) { tasks[i](); });
+        .parallelFor(tasks.size(), [&](std::size_t i) {
+            const auto [r, k] = tasks[i];
+            if (r != kShadow) {
+                runTask(runs[r], k, inputs[runs[r].trace], request,
+                        keep_caches);
+                return;
+            }
+            OCCSIM_TELEM_STAGE("engine.shadow");
+            const TraceInput &input = inputs[k / num_shadows];
+            Cache cache(configs[plan.shadows[k % num_shadows]]);
+            const std::vector<MemRef> &refs = input.refs->refs();
+            for (std::uint64_t ref = 0; ref < input.limit; ++ref)
+                cache.access(refs[ref]);
+            cache.finalizeResidencies();
+            shadow_results[k] = summarizeCache(cache);
+            OCCSIM_TELEM_COUNT("engine.shadow.refs", input.limit);
+            OCCSIM_TELEM_COUNT("engine.shadow.bytes",
+                               input.limit * sizeof(MemRef));
+        });
+
+    report.perTrace.assign(inputs.size(),
+                           std::vector<SweepResult>(configs.size()));
+    info.routing.assign(configs.size(), ConfigRouting{});
+    std::vector<std::vector<const Cache *>> caches(
+        keep_caches ? inputs.size() : 0,
+        std::vector<const Cache *>(configs.size(), nullptr));
+    for (const GroupRun &run : runs) {
+        const RouteGroup &group = *run.group;
+        const std::vector<SweepResult> results = groupResults(run);
+        for (std::size_t k = 0; k < group.configs.size(); ++k) {
+            const std::size_t c = group.configs[k];
+            report.perTrace[run.trace][c] = results[k];
+            ConfigRouting &routing = info.routing[c];
+            routing.route = group.route;
+            routing.fused |= group.route == Route::Fused;
+            routing.sharded |= group.route == Route::Shard;
+            routing.shards = std::max(routing.shards, group.shards);
+        }
+        if (run.shard != nullptr)
+            info.shards.accumulate(*run.shard);
+        if (run.fused != nullptr) {
+            ++info.fusedRuns;
+            if (group.shards > 1)
+                info.shards.accumulate(*run.fused);
+        }
+        for (std::size_t k = 0; keep_caches && k < group.configs.size();
+             ++k) {
+            const Cache *cache = run.batch != nullptr ? &run.batch->cache(k)
+                                 : run.caches.empty() ? nullptr
+                                                      : run.caches[k].get();
+            caches[run.trace][group.configs[k]] = cache;
+        }
+    }
+
+    // CrossCheck: the planned engines must reproduce every shadow's
+    // summary bit for bit, on this very trace.
+    for (std::size_t t = 0; t < inputs.size(); ++t) {
+        for (std::size_t s = 0; s < num_shadows; ++s) {
+            const std::size_t c = plan.shadows[s];
+            if (sameSweepResult(report.perTrace[t][c],
+                                shadow_results[t * num_shadows + s]))
+                continue;
+            const char *route = "batch";
+            for (const RouteGroup &group : plan.perTrace[t]) {
+                if (std::find(group.configs.begin(), group.configs.end(),
+                              c) != group.configs.end())
+                    route = routeName(group.route);
+            }
+            fatal("cross-check mismatch: %s engine disagrees with "
+                  "direct simulation for config %s on trace %s",
+                  route, configs[c].fullName().c_str(),
+                  request.traces[t]->name().c_str());
+        }
+    }
+    info.crossCheckSamples = inputs.size() * num_shadows;
+    if (info.crossCheckSamples > 0)
+        OCCSIM_TELEM_COUNT("cross_check.samples", info.crossCheckSamples);
+
+    for (std::size_t t = 0; t < caches.size(); ++t)
+        request.probe(t, caches[t]);
+
+    std::uint64_t refs = 0;
+    for (const TraceInput &input : inputs)
+        refs += input.limit;
     return refs;
 }
 
@@ -633,7 +416,7 @@ runSampledGrid(const SweepRequest &request, SweepReport &report,
         engines.push_back(std::make_unique<SampleReplay>(
             request.configs, request.sample));
         engines.back()->prepare(*packed.back(), request.maxRefs);
-        refs += traceLimit(*trace, request.maxRefs);
+        refs += capRefs(trace->size(), request.maxRefs);
     }
 
     std::vector<std::function<void()>> warm_tasks;
@@ -670,27 +453,6 @@ runSampledGrid(const SweepRequest &request, SweepReport &report,
     }
     sample_info.sampledRuns = traces.size() * request.configs.size();
     return refs;
-}
-
-/** Engine a config routes to under @p engine (manifest vocabulary).
- *  @p sharded: the set-sharded engine served it on >= 1 trace;
- *  @p fused: a fused group pass did (the two are exclusive — a fused
- *  config shards inside its group, reported as "fused"). */
-const char *
-configEngineName(const CacheConfig &config, SweepEngine engine,
-                 bool sharded, bool is_fused)
-{
-    if (config.partition == CachePartition::SplitID)
-        return "split";
-    if (engine == SweepEngine::Sampled)
-        return "sample";
-    if (engine == SweepEngine::DirectOnly)
-        return "direct";
-    if (is_fused)
-        return "fused";
-    if (sharded)
-        return "shard";
-    return singlePassEligible(config) ? "single_pass" : "batch";
 }
 
 } // namespace
@@ -741,6 +503,11 @@ runSweep(const SweepRequest &request)
                       "(no per-config Cache is retained)");
     }
     if (request.engine == SweepEngine::Sampled) {
+        // A probe needs a finished full-trace Cache to inspect; the
+        // sampling engine never has one.
+        occsim_assert(!request.probe,
+                      "probe is incompatible with SweepEngine::"
+                      "Sampled (no full-trace Cache exists)");
         for (const CacheConfig &config : request.configs) {
             occsim_assert(config.partition == CachePartition::Unified,
                           "split I/D configs are not supported by the "
@@ -749,8 +516,8 @@ runSweep(const SweepRequest &request)
         }
     }
     if (packed_path && !multicore) {
-        // Packed records carry no MemRef stream, so only the replay
-        // engines (batch / set-sharded) can serve this path.
+        // Packed records carry no MemRef stream, which the direct,
+        // single-pass and shadow engines need.
         occsim_assert(request.engine == SweepEngine::Auto,
                       "packedTraces requires SweepEngine::Auto (the "
                       "%s policy needs a MemRef stream)",
@@ -761,34 +528,45 @@ runSweep(const SweepRequest &request)
     }
 
     const auto start = std::chrono::steady_clock::now();
+    const unsigned threads =
+        static_cast<unsigned>(poolOrGlobal(request.pool).size());
 
     SweepReport report;
-    std::size_t cross_check_samples = 0;
-    ShardInfo shard_info;
-    shard_info.shardedConfigs.assign(request.configs.size(), false);
-    FusedInfo fused_info;
-    fused_info.fusedConfigs.assign(request.configs.size(), false);
+    ExecInfo exec_info;
     SampleInfo sample_info;
     std::uint64_t refs = 0;
-    if (multicore) {
-        refs = runScenarioGrid(request, report);
-    } else if (packed_path) {
-        refs = runPackedGrid(request, report, shard_info, fused_info);
-    } else if (request.engine == SweepEngine::Sampled) {
-        // A probe needs a finished full-trace Cache to inspect; the
-        // sampling engine never has one.
-        occsim_assert(!request.probe,
-                      "probe is incompatible with SweepEngine::"
-                      "Sampled (no full-trace Cache exists)");
+    if (request.engine == SweepEngine::Sampled) {
         refs = runSampledGrid(request, report, sample_info);
-    } else if (request.engine == SweepEngine::CrossCheck ||
-               request.probe) {
-        refs = runPerTraceRunners(request, report,
-                                  cross_check_samples, shard_info,
-                                  fused_info);
     } else {
-        refs = runFlattenedGrid(request, report, shard_info,
-                                fused_info);
+        std::vector<TraceInput> inputs;
+        std::vector<TraceShape> shapes;
+        for (const auto &trace : request.traces) {
+            inputs.push_back(
+                {trace.get(), nullptr,
+                 capRefs(trace->size(), request.maxRefs)});
+        }
+        for (const auto &trace : request.packedTraces) {
+            inputs.push_back(
+                {nullptr, trace, capRefs(trace->size(), request.maxRefs)});
+        }
+        for (const TraceInput &input : inputs)
+            shapes.push_back({input.limit, input.refs != nullptr});
+        const RoutePlan plan =
+            planSweep(request.configs, request.engine, request.scenario,
+                      shapes, threads, static_cast<bool>(request.probe));
+        // MemRef inputs are decoded once for the packed-record
+        // engines (memoized across sweeps sharing the trace).
+        for (std::size_t t = 0; t < request.traces.size(); ++t) {
+            for (const RouteGroup &group : plan.perTrace[t]) {
+                if (group.route == Route::Batch ||
+                    group.route == Route::Fused ||
+                    group.route == Route::Shard) {
+                    inputs[t].packed = packedTraceShared(request.traces[t]);
+                    break;
+                }
+            }
+        }
+        refs = executePlan(request, plan, inputs, report, exec_info);
     }
     report.refs = refs;
 
@@ -823,23 +601,21 @@ runSweep(const SweepRequest &request)
     obs::SweepRecord record;
     record.label = request.label.empty() ? "sweep" : request.label;
     record.engineMode = sweepEngineName(request.engine);
-    record.threads =
-        static_cast<unsigned>(poolOrGlobal(request.pool).size());
+    record.threads = threads;
     record.numTraces =
-        packed_path ? request.packedTraces.size()
-                    : request.traces.size();
+        request.traces.size() + request.packedTraces.size();
     record.maxRefs = request.maxRefs;
     record.refsSimulated = simulated;
     record.wallMs = wall_ms;
-    record.crossCheckSamples = cross_check_samples;
-    record.shardedRuns = shard_info.telem.shardedRuns;
-    record.shardMaxShards = shard_info.telem.maxShards;
-    record.shardMaxRefs = shard_info.telem.maxShardRefs;
-    record.shardMinRefs = shard_info.telem.minShardRefs;
-    record.fusedRuns = fused_info.fusedRuns;
-    record.fusedConfigs = static_cast<std::size_t>(std::count(
-        fused_info.fusedConfigs.begin(),
-        fused_info.fusedConfigs.end(), true));
+    record.crossCheckSamples = exec_info.crossCheckSamples;
+    record.shardedRuns = exec_info.shards.shardedRuns;
+    record.shardMaxShards = exec_info.shards.maxShards;
+    record.shardMaxRefs = exec_info.shards.maxShardRefs;
+    record.shardMinRefs = exec_info.shards.minShardRefs;
+    record.fusedRuns = exec_info.fusedRuns;
+    record.fusedConfigs = static_cast<std::size_t>(
+        std::count_if(exec_info.routing.begin(), exec_info.routing.end(),
+                      [](const ConfigRouting &r) { return r.fused; }));
     record.sampledRuns = sample_info.sampledRuns;
     if (sample_info.sampledRuns > 0) {
         record.sampleUnitRefs = request.sample.unitRefs;
@@ -886,23 +662,17 @@ runSweep(const SweepRequest &request)
         const CacheConfig &config = request.configs[c];
         obs::ConfigRoute route;
         route.config = config.shortName();
-        // The packed path has no single-pass fallback: everything not
-        // split, fused or sharded ran through the batch engine.
-        route.engine =
-            multicore
-                ? "coherent"
-                : (packed_path
-                       ? (config.partition == CachePartition::SplitID
-                              ? "split"
-                              : (fused_info.fusedConfigs[c]
-                                     ? "fused"
-                                     : (shard_info.shardedConfigs[c]
-                                            ? "shard"
-                                            : "batch")))
-                       : configEngineName(
-                             config, request.engine,
-                             shard_info.shardedConfigs[c],
-                             fused_info.fusedConfigs[c]));
+        // A config sharded or fused on some traces only is named for
+        // that route; its shard count is the largest it ran with.
+        if (request.engine == SweepEngine::Sampled) {
+            route.engine = "sample";
+        } else {
+            const ConfigRouting &routing = exec_info.routing[c];
+            route.engine = routing.fused     ? "fused"
+                           : routing.sharded ? "shard"
+                                             : routeName(routing.route);
+            route.shards = routing.shards;
+        }
         if (!sampled_avg.empty() && sampled_avg[c].sampled.active) {
             route.sampled = true;
             route.missRatioMean =

@@ -3,11 +3,7 @@
  * The unified sweep API: one request/report pair in front of every
  * sweep engine.
  *
- * Before this header, callers picked between three overlapping entry
- * points (sequential SweepRunner::run, ParallelSweepRunner::run, free
- * runSweeps — all since deleted) and hard-coded engine plumbing —
- * thread pools, engine modes, averaging, instrumentation — at every
- * call site. The supported surface is now:
+ * The supported surface is:
  *
  *   SweepRequest request;
  *   request.traces = buildSuiteTraces(suite);
@@ -15,10 +11,13 @@
  *   SweepReport report = runSweep(request);
  *   // report.perTrace, report.average, report.manifest
  *
- * Everything the deleted entry points could do is a field of the
- * request: engine policy, explicit pool, reference cap, a telemetry
- * sink, and an optional per-trace probe for callers that need to
- * inspect a finished Cache (Table 6's residency statistics).
+ * Everything else is a field of the request: engine policy, explicit
+ * pool, reference cap, a telemetry sink, and an optional per-trace
+ * probe for callers that need to inspect a finished Cache (Table 6's
+ * residency statistics). runSweep validates the request, plans it
+ * (planSweep in multi/route_plan.hh — the one place engines are
+ * chosen), runs every (trace, route group) task of the plan in one
+ * pool pass and records the plan in the manifest.
  * tests/test_sweep_api.cpp holds the cross-engine exact-equality
  * proof.
  *
@@ -39,9 +38,11 @@
 #include <vector>
 
 #include "coherence/scenario.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/route_plan.hh"
+#include "multi/sweep_runner.hh"
 #include "obs/manifest.hh"
 #include "trace/packed_trace.hh"
+#include "util/thread_pool.hh"
 
 namespace occsim {
 
@@ -65,9 +66,9 @@ struct SweepRequest
      * Already packed traces — e.g. corpus files mapped read-only by
      * TraceCorpus::open(), replayed in place with no decode and no
      * copy. Packed records carry no MemRef stream, so this path is
-     * served entirely by the batch/set-sharded replay engines (whose
-     * results are bit-identical to every other engine); it requires
-     * SweepEngine::Auto and is incompatible with probe.
+     * served by every route except single-pass: fused, batch, shard,
+     * split and coherent (all bit-identical to every other engine);
+     * it requires SweepEngine::Auto and is incompatible with probe.
      */
     std::vector<std::shared_ptr<const PackedTrace>> packedTraces;
 
@@ -115,16 +116,17 @@ struct SweepRequest
     obs::Telemetry *telemetry = nullptr;
 
     /**
-     * Optional per-trace probe, called as probe(trace_index, runner)
-     * after that trace's sweep finishes, before results are
-     * collected. Setting a probe forces runner-per-trace execution
-     * (each trace gets its own ParallelSweepRunner; results stay
-     * bit-identical) and pins those runners off the set-sharded
-     * engine, so probes can read runner.cache(i) for statistics
-     * SweepResult does not carry — construct with
-     * SweepEngine::DirectOnly if every config must keep a Cache.
+     * Optional per-trace probe, called as probe(trace_index, caches)
+     * once every trace has run, in trace order. caches[i] is config
+     * i's finished Cache, for statistics SweepResult does not carry;
+     * it is null where the config's route keeps no single Cache
+     * (single-pass and split routes). Setting a probe plans the sweep
+     * with no fused and no shard groups, so every other config keeps
+     * one (results stay bit-identical); use SweepEngine::DirectOnly
+     * if every config must.
      */
-    std::function<void(std::size_t, const ParallelSweepRunner &)> probe;
+    std::function<void(std::size_t, const std::vector<const Cache *> &)>
+        probe;
 };
 
 /** What one sweep produced. */

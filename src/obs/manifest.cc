@@ -297,6 +297,7 @@ RunManifest::toJson() const
             w.beginObject();
             w.kv("name", route.config);
             w.kv("engine", route.engine);
+            w.kv("shards", std::uint64_t{route.shards});
             if (route.sampled) {
                 w.kv("miss_ratio", route.missRatioMean);
                 w.kv("miss_stderr", route.missRatioStdErr);

@@ -43,9 +43,14 @@ struct TraceRecord
 struct ConfigRoute
 {
     std::string config;  ///< CacheConfig::shortName()
-    std::string engine;  ///< "direct" / "single_pass" / "batch" /
-                         ///< "shard" (sharded on at least one trace)
-                         ///< / "split" / "sample" / "coherent"
+    /** routeName() of the config's route group: "direct" /
+     *  "single_pass" / "batch" / "fused" (a fused group pass on at
+     *  least one trace) / "shard" (sharded on at least one trace) /
+     *  "split" / "coherent", or "sample" under SweepEngine::Sampled. */
+    std::string engine;
+    /** Set shards the route ran with (1 = unsharded; the largest
+     *  count over the traces). Above 1 only on "shard" and "fused". */
+    std::uint32_t shards = 1;
     /** Sampling engine only: the headline miss-ratio estimate
      *  (cross-trace mean with its standard error), so a sampled
      *  manifest carries the uncertainty of its numbers. Absent from

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "multi/fused_replay.hh"
 #include "multi/sweep_api.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -318,27 +317,40 @@ SweepServer::executeSweep(
     if (misses > 0)
         count("serve.cache_miss", misses);
 
-    // Reorder each trace's misses so configs sharing a fused grouping
-    // key sit adjacent: the tiles below slice this list, and the
-    // sweep engine can only fuse members that land in the same tile.
-    // Ineligible configs and fused singletons keep their order after
-    // the groups.
-    for (auto &missing : miss_configs) {
+    // Order each trace's misses the way the route plan groups them:
+    // fused groups first, the rest in request order. The tiles below
+    // slice this list, and the sweep engine can only fuse members
+    // that land in the same tile.
+    const unsigned threads =
+        (options_.pool != nullptr ? *options_.pool : globalThreadPool())
+            .size();
+    for (std::size_t t = 0; t < nt; ++t) {
+        std::vector<std::size_t> &missing = miss_configs[t];
+        std::vector<CacheConfig> configs;
+        configs.reserve(missing.size());
+        for (const std::size_t c : missing)
+            configs.push_back(request.configs[c]);
+        const std::uint64_t size = mapped[t]->size();
+        const TraceShape shape{
+            request.maxRefs == 0 ? size : std::min(request.maxRefs, size),
+            false};
+        const RoutePlan plan = planSweep(configs, SweepEngine::Auto,
+                                         request.scenario, {shape},
+                                         threads);
         std::vector<std::size_t> ordered;
         ordered.reserve(missing.size());
-        std::vector<char> placed(nc, 0);
-        for (const auto &group :
-             fusedGroups(request.configs, missing)) {
-            if (group.size() < 2)
+        std::vector<char> placed(missing.size(), 0);
+        for (const RouteGroup &group : plan.perTrace[0]) {
+            if (group.route != Route::Fused)
                 continue;
-            for (const std::size_t c : group) {
-                ordered.push_back(c);
-                placed[c] = 1;
+            for (const std::size_t k : group.configs) {
+                ordered.push_back(missing[k]);
+                placed[k] = 1;
             }
         }
-        for (const std::size_t c : missing) {
-            if (!placed[c])
-                ordered.push_back(c);
+        for (std::size_t k = 0; k < missing.size(); ++k) {
+            if (!placed[k])
+                ordered.push_back(missing[k]);
         }
         missing = std::move(ordered);
     }

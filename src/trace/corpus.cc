@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include <dirent.h>
@@ -176,15 +177,23 @@ writePackedTraceFile(const std::string &path, const PackedTrace &trace,
         std::min<std::size_t>(trace.name().size(), kMaxNameLen));
     header.dataOffset = alignUp64(kHeaderBytes + header.nameLen);
 
-    // Write through a temp name and rename into place: a crash mid
-    // write can strand a .tmp file but never a half-written entry
-    // under the final name.
-    const std::string tmp = path + ".tmp";
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    // Write through a unique temp name next to the target and rename
+    // into place: a crash mid write can strand a temp file but never
+    // a half-written entry under the final name, and concurrent
+    // writers of one entry never truncate each other's file.
+    std::string tmp = path + ".tmp.XXXXXX";
+    const int fd = ::mkstemp(tmp.data());
     if (fd < 0) {
         setError(error, strfmt("cannot create %s: %s", tmp.c_str(),
                                std::strerror(errno)));
+        return false;
+    }
+    if (::fchmod(fd, 0644) != 0) {
+        const int err = errno;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        setError(error, strfmt("chmod %s failed: %s", tmp.c_str(),
+                               std::strerror(err)));
         return false;
     }
 

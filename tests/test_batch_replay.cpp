@@ -12,7 +12,6 @@
 
 #include "harness/experiment.hh"
 #include "multi/batch_replay.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
@@ -253,16 +252,21 @@ TEST(BatchReplay, AutoRoutingMatchesDirectOnlyForAnyThreadCount)
 
     for (const std::size_t threads : {1u, 2u, 7u}) {
         ThreadPool pool(threads);
-        ParallelSweepRunner reference(configs, &pool,
-                                      SweepEngine::DirectOnly);
-        reference.run(trace);
-        const auto expected = reference.results();
+        const auto expected = sweepGrid({trace}, configs, &pool,
+                                        SweepEngine::DirectOnly)[0];
 
-        ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-        EXPECT_GT(routed.batchedCount(), 0u)
+        const RoutePlan plan =
+            planSweep(configs, SweepEngine::Auto, ScenarioConfig{},
+                      {{trace->size(), true}}, pool.size());
+        std::size_t batched = 0;
+        for (const RouteGroup &group : plan.perTrace[0]) {
+            if (group.route == Route::Batch)
+                batched += group.configs.size();
+        }
+        EXPECT_GT(batched, 0u)
             << "the paper grid contains sector configs";
-        routed.run(trace);
-        const auto actual = routed.results();
+        const auto actual =
+            sweepGrid({trace}, configs, &pool, SweepEngine::Auto)[0];
 
         ASSERT_EQ(actual.size(), expected.size());
         for (std::size_t i = 0; i < expected.size(); ++i)

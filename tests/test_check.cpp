@@ -16,7 +16,7 @@
 #include "check/fuzz.hh"
 #include "check/generators.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/single_pass.hh"
 #include "multi/sweep_api.hh"
 
 using namespace occsim;
@@ -215,23 +215,37 @@ TEST(CrossCheck, ShadowVerifiesTheFastPath)
     const std::shared_ptr<const VectorTrace> trace =
         gen.make(20000, 2);
 
-    ParallelSweepRunner checked(configs, nullptr,
-                                SweepEngine::CrossCheck);
-    EXPECT_GE(checked.crossCheckCount(), 1u);
-    EXPECT_LE(checked.crossCheckCount(), checked.size());
-    EXPECT_EQ(checked.fastPathCount() + checked.batchedCount() +
-                  checked.fusedCount(),
-              checked.size())
+    const RoutePlan plan =
+        planSweep(configs, SweepEngine::CrossCheck, ScenarioConfig{},
+                  {{trace->size(), true}}, globalThreadPool().size());
+    EXPECT_GE(plan.shadows.size(), 1u);
+    EXPECT_LE(plan.shadows.size(), configs.size());
+    std::size_t optimized = 0;
+    std::size_t fused = 0;
+    for (const RouteGroup &group : plan.perTrace[0]) {
+        if (group.route == Route::SinglePass ||
+            group.route == Route::Batch || group.route == Route::Fused)
+            optimized += group.configs.size();
+        if (group.route == Route::Fused)
+            fused += group.configs.size();
+    }
+    EXPECT_EQ(optimized, configs.size())
         << "under CrossCheck every config is on an optimized engine";
-    EXPECT_GE(checked.fusedCount(), 2u)
-        << "the paper grid's sector configs should fuse";
-    checked.run(trace);  // fatal on any divergence
+    EXPECT_GE(fused, 2u) << "the paper grid's sector configs should fuse";
+
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = configs;
+    request.engine = SweepEngine::CrossCheck;
+    request.label = "cross-check";
+    const SweepReport checked = runSweep(request);  // fatal on divergence
+    EXPECT_EQ(checked.manifest.sweeps.back().crossCheckSamples,
+              plan.shadows.size());
 
     // CrossCheck is Auto plus verification: identical results.
-    ParallelSweepRunner plain(configs, nullptr, SweepEngine::Auto);
-    plain.run(trace);
-    const auto want = plain.results();
-    const auto got = checked.results();
+    request.engine = SweepEngine::Auto;
+    const auto want = runSweep(request).perTrace[0];
+    const auto &got = checked.perTrace[0];
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].missRatio, want[i].missRatio);
@@ -241,7 +255,7 @@ TEST(CrossCheck, ShadowVerifiesTheFastPath)
     }
 }
 
-TEST(CrossCheck, RunSweepDelegatesPerTrace)
+TEST(CrossCheck, RunSweepMatchesAutoAcrossTraces)
 {
     std::vector<CacheConfig> configs;
     for (const CacheConfig &config : paperGrid(256, 2))

@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -286,4 +289,60 @@ TEST_F(CorpusTest, WriteFailureReportsAndLeavesNoPartialFile)
     EXPECT_FALSE(writePackedTraceFile("/nonexistent-dir/x.opc",
                                       *packed, 2, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST_F(CorpusTest, ConcurrentWritersOfOneEntryAllSucceed)
+{
+    // Writers of identical content race on one final path. Each owns
+    // a unique temp file next to it, so none truncates another's and
+    // every rename lands a complete file.
+    const auto packed = packedTraceShared(suiteTrace(0));
+    const std::string hash =
+        contentHashHex(packedContentHash(packed->data(), packed->size()));
+    const std::string path = dir_ + "/" + hash + ".opc";
+    constexpr int kWriters = 4;
+    constexpr int kRounds = 8;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&] {
+            for (int r = 0; r < kRounds; ++r) {
+                std::string error;
+                if (!writePackedTraceFile(path, *packed, 2, &error)) {
+                    ++failures;
+                    ADD_FAILURE() << error;
+                }
+            }
+        });
+    }
+    for (std::thread &writer : writers)
+        writer.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    std::uint32_t word_size = 0;
+    std::string error;
+    const auto mapped = mapPackedTraceFile(path, &word_size, &error);
+    ASSERT_NE(mapped, nullptr) << error;
+    EXPECT_EQ(word_size, 2u);
+    ASSERT_EQ(mapped->size(), packed->size());
+    EXPECT_EQ(std::memcmp(mapped->data(), packed->data(),
+                          packed->size() * sizeof(PackedRecord)),
+              0);
+
+    // No temp file is left behind, and a stranded one (a crash mid
+    // write) is not listed as an entry.
+    std::size_t files = 0;
+    DIR *dir = ::opendir(dir_.c_str());
+    ASSERT_NE(dir, nullptr);
+    while (const struct dirent *ent = ::readdir(dir)) {
+        if (ent->d_name[0] != '.')
+            ++files;
+    }
+    ::closedir(dir);
+    EXPECT_EQ(files, 1u);
+    std::ofstream(path + ".tmp.a1B2c3") << "partial";
+    TraceCorpus corpus(dir_);
+    const std::vector<CorpusEntry> entries = corpus.entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].hash, hash);
 }

@@ -1,5 +1,3 @@
-// This TU intentionally exercises the legacy sweep entry points.
-
 /**
  * @file
  * Determinism tests for the fused sector-grid replay engine: every
@@ -10,7 +8,7 @@
  * span == 64 shift guard), and load-forward misses on a block's LAST
  * sub-block (the fetch stops at the block boundary; it never wraps
  * into the next block) — plus the grouping/routing layer: oversized
- * key populations split at kMaxGroupConfigs, the runner routes
+ * key populations split at kMaxGroupConfigs, the route plan sends
  * sibling groups through the fused engine, and set-sharded fused
  * passes merge exactly.
  */
@@ -23,7 +21,6 @@
 #include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
 #include "multi/fused_replay.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
@@ -239,7 +236,7 @@ TEST(FusedReplay, ShardedFusedPassesMergeExactly)
     }
 }
 
-TEST(FusedReplay, RunnerRoutesSiblingGroupsFused)
+TEST(FusedReplay, PlanRoutesSiblingGroupsFused)
 {
     // Auto routing: a sector sibling group rides the fused engine
     // (group size >= 2), a lone sector config stays batched, a
@@ -264,21 +261,43 @@ TEST(FusedReplay, RunnerRoutesSiblingGroupsFused)
     }
 
     ThreadPool pool(2);
-    ParallelSweepRunner reference(configs, &pool,
-                                  SweepEngine::DirectOnly);
-    reference.run(trace);
+    const RoutePlan plan =
+        planSweep(configs, SweepEngine::Auto, ScenarioConfig{},
+                  {{trace->size(), true}}, pool.size());
+    std::vector<char> fused(configs.size(), 0);
+    std::size_t fused_count = 0;
+    for (const RouteGroup &group : plan.perTrace[0]) {
+        if (group.route != Route::Fused)
+            continue;
+        for (const std::size_t c : group.configs) {
+            fused[c] = 1;
+            ++fused_count;
+        }
+    }
+    EXPECT_TRUE(fused[0]);
+    EXPECT_TRUE(fused[1]);
+    EXPECT_FALSE(fused[2]) << "singletons stay batched";
+    EXPECT_FALSE(fused[3]) << "Random is fused-ineligible";
+    EXPECT_EQ(fused_count, 2u);
 
-    ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-    EXPECT_TRUE(routed.fused(0));
-    EXPECT_TRUE(routed.fused(1));
-    EXPECT_FALSE(routed.fused(2)) << "singletons stay batched";
-    EXPECT_FALSE(routed.fused(3)) << "Random is fused-ineligible";
-    EXPECT_EQ(routed.fusedCount(), 2u);
-    routed.run(trace);
-
-    const auto expected = reference.results();
-    const auto actual = routed.results();
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = configs;
+    request.pool = &pool;
+    request.label = "fused-routing";
+    const SweepReport routed = runSweep(request);
+    request.engine = SweepEngine::DirectOnly;
+    const auto expected = runSweep(request).perTrace[0];
+    const auto &actual = routed.perTrace[0];
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(actual[i], expected[i]);
+
+    // The manifest names the routes the plan chose.
+    const auto &routes = routed.manifest.sweeps.back().routes;
+    ASSERT_EQ(routes.size(), configs.size());
+    EXPECT_EQ(routes[0].engine, "fused");
+    EXPECT_EQ(routes[1].engine, "fused");
+    EXPECT_EQ(routes[2].engine, "batch");
+    EXPECT_EQ(routes[3].engine, "batch");
 }

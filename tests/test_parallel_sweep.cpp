@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
 #include "workload/suites.hh"
 
@@ -48,6 +47,20 @@ sequentialSweep(const std::vector<CacheConfig> &configs,
     return out;
 }
 
+/** runSweep of @p configs over the one trace @p trace. */
+SweepReport
+sweepOne(const std::vector<CacheConfig> &configs,
+         const std::shared_ptr<const VectorTrace> &trace, ThreadPool *pool,
+         std::uint64_t max_refs = 0)
+{
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = configs;
+    request.pool = pool;
+    request.maxRefs = max_refs;
+    return runSweep(request);
+}
+
 } // namespace
 
 TEST(ParallelSweep, BitIdenticalToSequentialOverPaperGrid)
@@ -60,9 +73,9 @@ TEST(ParallelSweep, BitIdenticalToSequentialOverPaperGrid)
     const auto expected = sequentialSweep(configs, *trace);
 
     ThreadPool pool(4);
-    ParallelSweepRunner parallel(configs, &pool);
-    EXPECT_EQ(parallel.run(trace), trace->size());
-    const auto actual = parallel.results();
+    const SweepReport report = sweepOne(configs, trace, &pool);
+    EXPECT_EQ(report.refs, trace->size());
+    const auto &actual = report.perTrace[0];
 
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
@@ -112,11 +125,11 @@ TEST(ParallelSweep, RespectsMaxRefs)
     const auto configs = paperGrid(64, suite.profile.wordSize);
 
     ThreadPool pool(2);
-    ParallelSweepRunner parallel(configs, &pool);
-    EXPECT_EQ(parallel.run(trace, 500), 500u);
+    const SweepReport report = sweepOne(configs, trace, &pool, 500);
+    EXPECT_EQ(report.refs, 500u);
 
     const auto expected = sequentialSweep(configs, *trace, 500);
-    const auto actual = parallel.results();
+    const auto &actual = report.perTrace[0];
     for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(actual[i], expected[i]);
 }

@@ -1,5 +1,3 @@
-// This TU intentionally exercises the legacy sweep entry points.
-
 /**
  * @file
  * Determinism tests for the set-sharded replay engine: the partition
@@ -18,8 +16,8 @@
 #include "cache/cache.hh"
 #include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/shard_replay.hh"
+#include "multi/single_pass.hh"
 #include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
@@ -64,6 +62,39 @@ directResult(const CacheConfig &config, const VectorTrace &trace)
         cache.access(ref);
     cache.finalizeResidencies();
     return summarizeCache(cache);
+}
+
+/** runSweep of @p configs over the one trace @p trace. */
+SweepReport
+sweepOne(const std::vector<CacheConfig> &configs,
+         const std::shared_ptr<const VectorTrace> &trace, ThreadPool &pool,
+         SweepEngine engine = SweepEngine::Auto)
+{
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = configs;
+    request.pool = &pool;
+    request.engine = engine;
+    request.wantAverage = false;
+    return runSweep(request);
+}
+
+/** Per-config route of @p configs over @p trace, planned exactly as
+ *  runSweep plans it on @p pool. */
+std::vector<Route>
+plannedRoutes(const std::vector<CacheConfig> &configs,
+              const VectorTrace &trace, const ThreadPool &pool,
+              SweepEngine engine = SweepEngine::Auto)
+{
+    const RoutePlan plan =
+        planSweep(configs, engine, ScenarioConfig{},
+                  {{trace.size(), true}}, pool.size());
+    std::vector<Route> routes(configs.size());
+    for (const RouteGroup &group : plan.perTrace[0]) {
+        for (const std::size_t c : group.configs)
+            routes[c] = group.route;
+    }
+    return routes;
 }
 
 /** Sharded run of @p config at @p num_shards, sequential drive. */
@@ -405,14 +436,14 @@ TEST(ShardReplay, SingleThreadDegenerationNeverShards)
         makeConfig(4096, 32, 8, suite.profile.wordSize)};
 
     ThreadPool pool(1);
-    ParallelSweepRunner runner(configs, &pool, SweepEngine::Auto);
-    runner.run(trace);
-    EXPECT_EQ(runner.shardedCount(), 0u);
-    expectIdentical(runner.results()[0], directResult(configs[0],
-                                                      *trace));
+    EXPECT_EQ(plannedRoutes(configs, *trace, pool)[0], Route::Batch);
+    const SweepReport report = sweepOne(configs, trace, pool);
+    EXPECT_EQ(report.manifest.sweeps.back().shardedRuns, 0u);
+    expectIdentical(report.perTrace[0][0],
+                    directResult(configs[0], *trace));
 }
 
-TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
+TEST(ShardReplay, ForcedShardingThroughRunSweepIsBitIdentical)
 {
     const EnvGuard guard("OCCSIM_SHARD", "1");
     const Suite suite = pdp11Suite();
@@ -430,28 +461,26 @@ TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
     }
 
     ThreadPool pool(4);
-    ParallelSweepRunner reference(configs, &pool,
-                                  SweepEngine::DirectOnly);
-    reference.run(trace);
-    const auto expected = reference.results();
+    const auto expected =
+        sweepOne(configs, trace, pool, SweepEngine::DirectOnly)
+            .perTrace[0];
 
-    ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-    routed.run(trace);
-    EXPECT_EQ(routed.shardedCount(), 1u)
-        << "exactly the sector config shards (single-pass config is "
-           "fast-pathed, Random is ineligible)";
-    EXPECT_TRUE(routed.sharded(1));
-    EXPECT_FALSE(routed.sharded(0));
-    EXPECT_FALSE(routed.sharded(2));
+    // Exactly the sector config shards: the single-pass config is
+    // fast-pathed and Random is ineligible.
+    const std::vector<Route> routes = plannedRoutes(configs, *trace, pool);
+    EXPECT_EQ(routes[0], Route::SinglePass);
+    EXPECT_EQ(routes[1], Route::Shard);
+    EXPECT_EQ(routes[2], Route::Batch);
 
-    const auto actual = routed.results();
+    const SweepReport routed = sweepOne(configs, trace, pool);
+    const auto &actual = routed.perTrace[0];
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(actual[i], expected[i]);
 
-    const ShardTelemetry telem = routed.shardTelemetry();
-    EXPECT_EQ(telem.shardedRuns, 1u);
-    EXPECT_GE(telem.maxShards, 2u);
+    const obs::SweepRecord &record = routed.manifest.sweeps.back();
+    EXPECT_EQ(record.shardedRuns, 1u);
+    EXPECT_GE(record.shardMaxShards, 2u);
 }
 
 TEST(ShardReplay, ForcedShardingUnderCrossCheckIsClean)
@@ -466,10 +495,15 @@ TEST(ShardReplay, ForcedShardingUnderCrossCheckIsClean)
         makeConfig(4096, 16, 4, suite.profile.wordSize)};
 
     ThreadPool pool(4);
-    ParallelSweepRunner runner(configs, &pool, SweepEngine::CrossCheck);
-    runner.run(trace);
-    EXPECT_GT(runner.crossCheckCount(), 0u);
-    EXPECT_GT(runner.shardedCount(), 0u);
+    const std::vector<Route> routes =
+        plannedRoutes(configs, *trace, pool, SweepEngine::CrossCheck);
+    EXPECT_EQ(routes[0], Route::Shard);
+    EXPECT_EQ(routes[1], Route::Shard);
+    const SweepReport report =
+        sweepOne(configs, trace, pool, SweepEngine::CrossCheck);
+    const obs::SweepRecord &record = report.manifest.sweeps.back();
+    EXPECT_GT(record.crossCheckSamples, 0u);
+    EXPECT_GT(record.shardedRuns, 0u);
 }
 
 TEST(ShardReplay, RunSweepRecordsShardRoutesInTheManifest)
@@ -497,12 +531,13 @@ TEST(ShardReplay, RunSweepRecordsShardRoutesInTheManifest)
     EXPECT_GT(ours->shardMaxRefs, 0u);
     ASSERT_EQ(ours->routes.size(), 1u);
     EXPECT_EQ(ours->routes[0].engine, "shard");
+    EXPECT_EQ(ours->routes[0].shards, ours->shardMaxShards);
 
     // And the numbers are the unsharded ones.
-    ParallelSweepRunner reference(request.configs, &pool,
-                                  SweepEngine::DirectOnly);
-    reference.run(request.traces[0]);
-    expectIdentical(report.perTrace[0][0], reference.results()[0]);
+    expectIdentical(report.perTrace[0][0],
+                    sweepOne(request.configs, request.traces[0], pool,
+                             SweepEngine::DirectOnly)
+                        .perTrace[0][0]);
 }
 
 TEST(SinglePassFifo, MatchesDirectAcrossTheGrid)
@@ -554,8 +589,7 @@ TEST(SinglePassFifo, AutoRoutesFifoConfigsToTheFastPath)
     const std::vector<CacheConfig> configs{fifo};
 
     ThreadPool pool(2);
-    ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-    EXPECT_TRUE(routed.fastPathed(0));
-    routed.run(trace);
-    expectIdentical(routed.results()[0], directResult(fifo, *trace));
+    EXPECT_EQ(plannedRoutes(configs, *trace, pool)[0], Route::SinglePass);
+    expectIdentical(sweepOne(configs, trace, pool).perTrace[0][0],
+                    directResult(fifo, *trace));
 }

@@ -1,12 +1,11 @@
 /**
  * @file
  * The unified sweep API contract (multi/sweep_api.hh): runSweep must
- * be bit-identical to the raw engine entry points it wraps — direct
- * per-config Cache simulation and ParallelSweepRunner::run — for
+ * be bit-identical to sequential per-config Cache simulation for
  * every engine policy and thread count; the request knobs (maxRefs,
  * wantAverage, probe, explicit telemetry sink) must each do what they
  * say; and the attached manifest must serialize to valid
- * occsim.run_manifest/1 JSON.
+ * occsim.run_manifest/1 JSON that records the route plan.
  */
 
 #include <gtest/gtest.h>
@@ -87,34 +86,30 @@ struct Fixture
 
 } // namespace
 
-TEST(SweepApi, BitIdenticalToRawEngineAllEnginesAndThreads)
+TEST(SweepApi, EveryEngineAndThreadCountMatchesSequentialDirect)
 {
     const Fixture fx;
+    // Reference: direct sequential simulation, one pass per trace.
+    std::vector<std::vector<SweepResult>> expected;
+    for (const auto &trace : fx.traces)
+        expected.push_back(sequentialSweep(fx.configs, *trace));
+    const auto averaged = averageResults(expected);
+
     for (const SweepEngine engine :
          {SweepEngine::Auto, SweepEngine::DirectOnly,
           SweepEngine::CrossCheck}) {
         for (const unsigned threads : {1u, 4u}) {
-            // Reference: the raw engine layer, one runner per trace.
             ThreadPool pool(threads);
-            std::vector<std::vector<SweepResult>> legacy;
-            for (const auto &trace : fx.traces) {
-                ParallelSweepRunner runner(fx.configs, &pool, engine);
-                runner.run(trace);
-                legacy.push_back(runner.results());
-            }
-
-            ThreadPool pool2(threads);
             SweepRequest request;
             request.traces = fx.traces;
             request.configs = fx.configs;
             request.engine = engine;
-            request.pool = &pool2;
+            request.pool = &pool;
             request.label = "test";
             const SweepReport report = runSweep(request);
 
-            expectIdenticalGrid(report.perTrace, legacy);
+            expectIdenticalGrid(report.perTrace, expected);
             ASSERT_EQ(report.average.size(), fx.configs.size());
-            const auto averaged = averageResults(legacy);
             for (std::size_t c = 0; c < averaged.size(); ++c)
                 expectIdentical(report.average[c], averaged[c]);
         }
@@ -164,7 +159,7 @@ TEST(SweepApi, MaxRefsCapsEveryEngineIdentically)
     expectIdenticalGrid(checked_report.perTrace, report.perTrace);
 }
 
-TEST(SweepApi, ProbeForcesPerTraceRunnersWithoutChangingResults)
+TEST(SweepApi, ProbeSeesFinishedCachesWithoutChangingResults)
 {
     const Fixture fx;
     SweepRequest plain;
@@ -177,12 +172,17 @@ TEST(SweepApi, ProbeForcesPerTraceRunnersWithoutChangingResults)
     std::vector<double> never_ref;
     SweepRequest request = plain;
     request.probe = [&](std::size_t t,
-                        const ParallelSweepRunner &runner) {
+                        const std::vector<const Cache *> &caches) {
         probed.push_back(t);
         // DirectOnly keeps a Cache for every config, so probes can
         // read residency statistics SweepResult does not carry.
+        ASSERT_EQ(caches.size(), fx.configs.size());
+        for (std::size_t c = 0; c < caches.size(); ++c) {
+            ASSERT_NE(caches[c], nullptr) << c;
+            EXPECT_EQ(caches[c]->config(), fx.configs[c]);
+        }
         never_ref.push_back(
-            runner.cache(0).stats().neverReferencedFraction());
+            caches[0]->stats().neverReferencedFraction());
     };
     const SweepReport report = runSweep(request);
 
@@ -194,6 +194,51 @@ TEST(SweepApi, ProbeForcesPerTraceRunnersWithoutChangingResults)
         EXPECT_GE(fraction, 0.0);
         EXPECT_LE(fraction, 1.0);
     }
+}
+
+TEST(SweepApi, AutoProbeKeepsACacheOutsideSinglePassAndSplit)
+{
+    // Under Auto a probe plans with keep_caches: no fused and no
+    // shard groups, so every config off the single-pass and split
+    // routes keeps its batched Cache — and the results still match
+    // the unprobed sweep bit for bit.
+    const Fixture fx;
+    ThreadPool pool(4);
+    SweepRequest plain;
+    plain.traces = fx.traces;
+    plain.configs = fx.configs;
+    plain.pool = &pool;
+    const SweepReport expected = runSweep(plain);
+
+    const RoutePlan plan =
+        planSweep(fx.configs, SweepEngine::Auto, ScenarioConfig{},
+                  {{kRefs, true}, {kRefs, true}}, pool.size(),
+                  /*keep_caches=*/true);
+    std::size_t probes = 0;
+    SweepRequest request = plain;
+    request.probe = [&](std::size_t t,
+                        const std::vector<const Cache *> &caches) {
+        ++probes;
+        ASSERT_EQ(caches.size(), fx.configs.size());
+        std::size_t kept = 0;
+        for (const RouteGroup &group : plan.perTrace[t]) {
+            const bool keeps = group.route == Route::Batch;
+            EXPECT_TRUE(keeps || group.route == Route::SinglePass ||
+                        group.route == Route::Split)
+                << routeName(group.route);
+            for (const std::size_t c : group.configs) {
+                EXPECT_EQ(caches[c] != nullptr, keeps) << c;
+                if (caches[c] != nullptr) {
+                    EXPECT_EQ(caches[c]->config(), fx.configs[c]);
+                    ++kept;
+                }
+            }
+        }
+        EXPECT_GT(kept, 0u);
+    };
+    const SweepReport report = runSweep(request);
+    EXPECT_EQ(probes, fx.traces.size());
+    expectIdenticalGrid(report.perTrace, expected.perTrace);
 }
 
 TEST(SweepApi, WantAverageFalseSkipsAveraging)
@@ -269,16 +314,25 @@ TEST(SweepApi, ReportManifestIsValidSchemaJson)
     ASSERT_NE(ours, nullptr);
     const obs::JsonValue *routes = ours->find("configs");
     ASSERT_NE(routes, nullptr);
-    EXPECT_EQ(routes->items.size(), fx.configs.size());
-    for (const obs::JsonValue &route : routes->items) {
+    ASSERT_EQ(routes->items.size(), fx.configs.size());
+    // The routes are the plan's, verbatim: the fixture is too short
+    // to shard, so every config keeps one route on both traces.
+    const RoutePlan plan = planSweep(
+        fx.configs, SweepEngine::Auto, ScenarioConfig{},
+        {{kRefs, true}, {kRefs, true}}, report.manifest.threads);
+    std::vector<std::string> planned(fx.configs.size());
+    for (const RouteGroup &group : plan.perTrace[0]) {
+        for (const std::size_t c : group.configs)
+            planned[c] = routeName(group.route);
+    }
+    for (std::size_t c = 0; c < fx.configs.size(); ++c) {
+        const obs::JsonValue &route = routes->items[c];
         const obs::JsonValue *engine = route.find("engine");
         ASSERT_NE(engine, nullptr);
-        EXPECT_TRUE(engine->text == "direct" ||
-                    engine->text == "single_pass" ||
-                    engine->text == "batch" ||
-                    engine->text == "shard" ||
-                    engine->text == "fused")
-            << engine->text;
+        EXPECT_EQ(engine->text, planned[c]) << c;
+        const obs::JsonValue *shards = route.find("shards");
+        ASSERT_NE(shards, nullptr);
+        EXPECT_EQ(shards->number, 1.0);
     }
 
     // Both fixture traces appear in the trace identity list.
@@ -294,4 +348,16 @@ TEST(SweepApi, EngineNamesAreStable)
                  "direct_only");
     EXPECT_STREQ(sweepEngineName(SweepEngine::CrossCheck),
                  "cross_check");
+}
+
+TEST(SweepApi, RouteNamesAreStable)
+{
+    // occbench and occsim-report count routes by these strings.
+    EXPECT_STREQ(routeName(Route::Direct), "direct");
+    EXPECT_STREQ(routeName(Route::Split), "split");
+    EXPECT_STREQ(routeName(Route::SinglePass), "single_pass");
+    EXPECT_STREQ(routeName(Route::Fused), "fused");
+    EXPECT_STREQ(routeName(Route::Batch), "batch");
+    EXPECT_STREQ(routeName(Route::Shard), "shard");
+    EXPECT_STREQ(routeName(Route::Coherent), "coherent");
 }
