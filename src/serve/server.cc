@@ -190,6 +190,8 @@ SweepServer::execute(
             .kv("cache_entries", std::uint64_t{s.cacheEntries})
             .kv("rejected", s.rejected)
             .kv("queue_high_water", s.queueHighWater)
+            .kv("corpus_maps", s.corpusMaps)
+            .kv("corpus_verifies", s.corpusVerifies)
             .kv("active_connections",
                 std::uint64_t{s.activeConnections})
             .endObject();
@@ -268,29 +270,25 @@ SweepServer::executeSweep(
             return reject(strfmt("invalid scenario: %s", why.c_str()));
     }
 
-    // Resolve every trace against the corpus up front; an unknown or
-    // corrupt trace rejects the request before any work is queued.
+    // Resolve every trace against the corpus up front; an unknown
+    // trace, or one whose file is gone, rejects the request before
+    // any work is queued.
     std::vector<std::string> hashes(nt);
-    std::vector<std::shared_ptr<const PackedTrace>> mapped(nt);
     for (std::size_t t = 0; t < nt; ++t) {
         std::string error;
         hashes[t] = corpus_.resolve(request.traces[t], &error);
         if (hashes[t].empty())
             return reject(error);
-        mapped[t] = corpus_.open(hashes[t], &error);
-        if (!mapped[t])
-            return reject(error);
     }
 
-    sweeps_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t cells = nt * nc;
     auto state = std::make_shared<RequestState>();
     state->keys.resize(cells);
     state->payloads.resize(cells);
     state->ready.assign(cells, 0);
 
-    // Cache pass: hits are complete immediately; misses are grouped
-    // per trace for tiling.
+    // Cache pass, before any trace is mapped: hits are complete
+    // immediately; misses are grouped per trace for tiling.
     std::vector<char> cached(cells, 0);
     std::vector<std::vector<std::size_t>> miss_configs(nt);
     std::size_t hits = 0;
@@ -311,6 +309,20 @@ SweepServer::executeSweep(
             }
         }
     }
+
+    // Map only the traces something must be computed on; a corrupt
+    // one rejects the request before any work is queued or counted.
+    std::vector<std::shared_ptr<const PackedTrace>> mapped(nt);
+    for (std::size_t t = 0; t < nt; ++t) {
+        if (miss_configs[t].empty())
+            continue;
+        std::string error;
+        mapped[t] = corpus_.open(hashes[t], &error);
+        if (!mapped[t])
+            return reject(error);
+    }
+
+    sweeps_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t misses = cells - hits;
     if (hits > 0)
         count("serve.cache_hit", hits);
@@ -326,6 +338,8 @@ SweepServer::executeSweep(
             .size();
     for (std::size_t t = 0; t < nt; ++t) {
         std::vector<std::size_t> &missing = miss_configs[t];
+        if (missing.empty())
+            continue;
         std::vector<CacheConfig> configs;
         configs.reserve(missing.size());
         for (const std::size_t c : missing)
@@ -632,6 +646,8 @@ SweepServer::stats()
         std::lock_guard<std::mutex> lock(queueMutex_);
         s.queueHighWater = queueHighWater_;
     }
+    s.corpusMaps = corpus_.maps();
+    s.corpusVerifies = corpus_.verifies();
     s.cacheEntries = cache_.size();
     s.activeConnections = active_.load(std::memory_order_acquire);
     return s;

@@ -7,13 +7,15 @@
  * Request lifecycle:
  *
  *   client frame → parse (serve/protocol.hh) → resolve traces against
- *   the corpus (mmap, shared) → per-cell result-cache lookup → cache
+ *   the corpus (a stat, no mapping) → per-cell result-cache lookup →
+ *   open (mmap, shared) only the traces with at least one miss → cache
  *   hits stream back immediately; misses are split into config tiles
  *   and queued as jobs → dispatcher threads pop jobs (highest
  *   priority first, FIFO within a priority) and run them through
  *   runSweep's packed path on the shared ThreadPool → each finished
  *   cell is serialized once, inserted into the cache, and streamed to
- *   the client in request order.
+ *   the client in request order. A request whose cells all hit never
+ *   maps or hashes a trace file.
  *
  * Fairness: the unit of scheduling is a TILE (streamTile configs of
  * one trace), not a whole request, so one giant sweep cannot occupy
@@ -30,8 +32,9 @@
  *
  * Observability: serve.cache_hit / serve.cache_miss / serve.requests
  * counters, a serve.queue_depth high-water counter, a serve.request
- * stage span per request, and one obs::ServeRecord per request in
- * the run manifest (auditable via occsim-report).
+ * stage span per request, corpus map and verify counts in the stats
+ * op, and one obs::ServeRecord per request in the run manifest
+ * (auditable via occsim-report).
  *
  * Failure containment: a malformed frame or request is answered with
  * an error frame and never reaches an engine; configs are validated
@@ -95,7 +98,13 @@ struct ServeOptions
     obs::Telemetry *telemetry = nullptr;
 };
 
-/** Snapshot of server activity (the "stats" wire op). */
+/**
+ * Snapshot of server activity (the "stats" wire op). sweeps and the
+ * serve.cache_hit / serve.cache_miss telemetry count only accepted
+ * sweeps; cacheHits / cacheMisses are the result cache's own lookup
+ * counts, so they also include the lookups of a request rejected
+ * afterwards because a trace it missed on failed to open.
+ */
 struct ServeStats
 {
     std::uint64_t requests = 0;
@@ -104,6 +113,8 @@ struct ServeStats
     std::uint64_t cacheMisses = 0;
     std::uint64_t rejected = 0;        ///< malformed/invalid requests
     std::uint64_t queueHighWater = 0;  ///< deepest job queue seen
+    std::uint64_t corpusMaps = 0;      ///< trace files mapped
+    std::uint64_t corpusVerifies = 0;  ///< full content-hash checks
     std::size_t cacheEntries = 0;
     std::size_t activeConnections = 0;
 };

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -26,6 +27,11 @@ constexpr std::uint32_t kHeaderBytes = 64;
 constexpr const char *kEntrySuffix = ".opc";
 /** Refuse absurd name fields before allocating for them. */
 constexpr std::uint32_t kMaxNameLen = 4096;
+/** A file whose ctime is younger than this, measured against a clock
+ *  reading taken before its hash, is re-hashed on every open: coarse
+ *  filesystem timestamps (one jiffy up to 2 s) could hide an in-place
+ *  write that landed in the same tick as the verified state. */
+constexpr std::int64_t kRacyNs = 2'000'000'000;
 
 /** Fixed-layout file header; all fields little-endian. */
 struct FileHeader
@@ -118,6 +124,117 @@ struct Mapping
             ::munmap(base, bytes);
     }
 };
+
+/** An OCPC file mapped read-only with its header checked; its
+ *  records are not yet checked against the content hash. */
+struct MappedFile
+{
+    std::shared_ptr<Mapping> mapping;
+    struct stat st{};  ///< fstat of the mapped file, taken before hashing
+    FileHeader header{};
+
+    const PackedRecord *records() const
+    {
+        return reinterpret_cast<const PackedRecord *>(
+            static_cast<const char *>(mapping->base) +
+            header.dataOffset);
+    }
+};
+
+/**
+ * Open, fstat and map @p path, then check its header (magic, version,
+ * size vs record count). @return false with @p error set on failure.
+ */
+bool
+mapChecked(const std::string &path, MappedFile &file, std::string *error)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+        setError(error, strfmt("cannot open %s: %s", path.c_str(),
+                               std::strerror(errno)));
+        return false;
+    }
+    if (::fstat(fd, &file.st) != 0) {
+        setError(error, strfmt("fstat %s failed: %s", path.c_str(),
+                               std::strerror(errno)));
+        ::close(fd);
+        return false;
+    }
+    const std::uint64_t file_size =
+        static_cast<std::uint64_t>(file.st.st_size);
+    if (file_size < kHeaderBytes) {
+        setError(error,
+                 strfmt("%s: file too small for a header (%llu bytes)",
+                        path.c_str(),
+                        static_cast<unsigned long long>(file_size)));
+        ::close(fd);
+        return false;
+    }
+
+    file.mapping = std::make_shared<Mapping>();
+    file.mapping->bytes = static_cast<std::size_t>(file_size);
+    file.mapping->base = ::mmap(nullptr, file.mapping->bytes, PROT_READ,
+                                MAP_PRIVATE, fd, 0);
+    ::close(fd);  // the mapping keeps the file referenced
+    if (file.mapping->base == MAP_FAILED) {
+        setError(error, strfmt("mmap %s failed: %s", path.c_str(),
+                               std::strerror(errno)));
+        return false;
+    }
+
+    std::memcpy(&file.header, file.mapping->base, sizeof(file.header));
+    const std::string reason = checkHeader(file.header, file_size);
+    if (!reason.empty()) {
+        setError(error, strfmt("%s: %s", path.c_str(), reason.c_str()));
+        return false;
+    }
+    return true;
+}
+
+/** Recompute the content hash over @p file's records. @return false
+ *  with @p error set when it does not match the header. */
+bool
+verifyRecords(const std::string &path, const MappedFile &file,
+              std::string *error)
+{
+    // Flipped record bits are refused here, not discovered as a
+    // silently wrong miss ratio later.
+    const std::uint64_t hash = packedContentHash(
+        file.records(), static_cast<std::size_t>(file.header.recordCount));
+    if (hash == file.header.contentHash)
+        return true;
+    setError(error,
+             strfmt("%s: content hash mismatch (stored %s, computed %s) "
+                    "— corrupted records",
+                    path.c_str(),
+                    contentHashHex(file.header.contentHash).c_str(),
+                    contentHashHex(hash).c_str()));
+    return false;
+}
+
+/** Wrap a checked @p file as a PackedTrace view over its mapping. */
+std::shared_ptr<const PackedTrace>
+wrapTrace(MappedFile &file, std::uint32_t *word_size)
+{
+    std::string name(
+        static_cast<const char *>(file.mapping->base) + kHeaderBytes,
+        file.header.nameLen);
+    if (word_size)
+        *word_size = file.header.wordSize;
+    OCCSIM_TELEM_COUNT("corpus.map.refs", file.header.recordCount);
+    const PackedRecord *records = file.records();
+    return std::make_shared<const PackedTrace>(
+        std::move(name), records,
+        static_cast<std::size_t>(file.header.recordCount),
+        std::move(file.mapping));
+}
+
+std::int64_t
+toNs(const struct timespec &t)
+{
+    return static_cast<std::int64_t>(t.tv_sec) * 1'000'000'000 +
+           t.tv_nsec;
+}
 
 bool writeAll(int fd, const void *data, std::size_t bytes)
 {
@@ -231,74 +348,11 @@ std::shared_ptr<const PackedTrace>
 mapPackedTraceFile(const std::string &path, std::uint32_t *word_size,
                    std::string *error)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        setError(error, strfmt("cannot open %s: %s", path.c_str(),
-                               std::strerror(errno)));
+    MappedFile file;
+    if (!mapChecked(path, file, error) ||
+        !verifyRecords(path, file, error))
         return nullptr;
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        setError(error, strfmt("fstat %s failed: %s", path.c_str(),
-                               std::strerror(errno)));
-        ::close(fd);
-        return nullptr;
-    }
-    const std::uint64_t file_size =
-        static_cast<std::uint64_t>(st.st_size);
-    if (file_size < kHeaderBytes) {
-        setError(error,
-                 strfmt("%s: file too small for a header (%llu bytes)",
-                        path.c_str(),
-                        static_cast<unsigned long long>(file_size)));
-        ::close(fd);
-        return nullptr;
-    }
-
-    auto mapping = std::make_shared<Mapping>();
-    mapping->bytes = static_cast<std::size_t>(file_size);
-    mapping->base = ::mmap(nullptr, mapping->bytes, PROT_READ,
-                           MAP_PRIVATE, fd, 0);
-    ::close(fd);  // the mapping keeps the file referenced
-    if (mapping->base == MAP_FAILED) {
-        setError(error, strfmt("mmap %s failed: %s", path.c_str(),
-                               std::strerror(errno)));
-        return nullptr;
-    }
-
-    FileHeader header;
-    std::memcpy(&header, mapping->base, sizeof(header));
-    std::string reason = checkHeader(header, file_size);
-    if (reason.empty()) {
-        const auto *records = reinterpret_cast<const PackedRecord *>(
-            static_cast<const char *>(mapping->base) +
-            header.dataOffset);
-        // Recompute the content hash over the mapped bytes: flipped
-        // record bits are refused here, not discovered as a silently
-        // wrong miss ratio later.
-        const std::uint64_t hash = packedContentHash(
-            records, static_cast<std::size_t>(header.recordCount));
-        if (hash != header.contentHash) {
-            reason = strfmt("content hash mismatch (stored %s, "
-                            "computed %s) — corrupted records",
-                            contentHashHex(header.contentHash).c_str(),
-                            contentHashHex(hash).c_str());
-        } else {
-            std::string name(
-                static_cast<const char *>(mapping->base) + kHeaderBytes,
-                header.nameLen);
-            if (word_size)
-                *word_size = header.wordSize;
-            OCCSIM_TELEM_COUNT("corpus.map.refs", header.recordCount);
-            return std::make_shared<const PackedTrace>(
-                std::move(name), records,
-                static_cast<std::size_t>(header.recordCount),
-                std::move(mapping));
-        }
-    }
-    setError(error,
-             strfmt("%s: %s", path.c_str(), reason.c_str()));
-    return nullptr;
+    return wrapTrace(file, word_size);
 }
 
 TraceCorpus::TraceCorpus(std::string dir) : dir_(std::move(dir))
@@ -367,10 +421,42 @@ TraceCorpus::open(const std::string &hash, std::string *error)
             return trace;
     }
 
-    std::uint32_t word_size = 0;
-    auto trace = mapPackedTraceFile(entryPath(hash), &word_size, error);
-    if (!trace)
+    const std::string path = entryPath(hash);
+    MappedFile file;
+    if (!mapChecked(path, file, error))
         return nullptr;
+    maps_.fetch_add(1, std::memory_order_relaxed);
+
+    // The identity comes from the fstat taken before hashing, so a
+    // write that races the hash changes the ctime after it and the
+    // next open re-verifies.
+    const FileIdentity identity{
+        static_cast<std::uint64_t>(file.st.st_dev),
+        static_cast<std::uint64_t>(file.st.st_ino),
+        static_cast<std::int64_t>(file.st.st_size),
+        toNs(file.st.st_mtim), toNs(file.st.st_ctim)};
+    const auto known = verified_.find(hash);
+    if (known == verified_.end() || known->second != identity) {
+        if (known != verified_.end())
+            verified_.erase(known);
+        struct timespec now{};
+        ::clock_gettime(CLOCK_REALTIME, &now);
+        bool intact = false;
+        {
+            OCCSIM_TELEM_STAGE("corpus.verify");
+            verifies_.fetch_add(1, std::memory_order_relaxed);
+            intact = verifyRecords(path, file, error);
+        }
+        if (!intact)
+            return nullptr;
+        // The racy-file rule: remember only a file whose last change
+        // is safely older than the hash.
+        if (identity.ctimeNs <= toNs(now) - kRacyNs)
+            verified_.emplace(hash, identity);
+    }
+
+    std::uint32_t word_size = 0;
+    auto trace = wrapTrace(file, &word_size);
     mapped_[hash] = trace;
     wordSize_[hash] = word_size;
 

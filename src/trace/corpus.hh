@@ -28,15 +28,24 @@
  * The stored record bytes are exactly the bytes packedTraceShared
  * produces in memory, so an ingest -> mmap -> replay round trip is
  * bit-identical to in-memory packing by construction; the content
- * hash doubles as the dedup key and as corruption detection
- * (validated on every open, alongside the size-vs-count truncation
- * check). Ingest writes through a temp file + rename, so a crashed
- * ingest never leaves a half-written entry under its final name.
+ * hash doubles as the dedup key and as corruption detection. The
+ * header checks (magic, version, size vs record count) run on every
+ * map. The content hash is recomputed the first time TraceCorpus
+ * maps a given file identity (device, inode, size, mtime, ctime, as
+ * fstat reports them before hashing); a later re-map whose fstat
+ * shows the same identity skips the re-hash. A file whose ctime is
+ * less than 2 s older than the clock reading taken before hashing
+ * is "racy" — an in-place write could land in the same timestamp
+ * tick and leave the identity unchanged — so its identity is not
+ * remembered and it is re-hashed on every map until it ages.
+ * Ingest writes through a temp file + rename, so a crashed ingest
+ * never leaves a half-written entry under its final name.
  */
 
 #ifndef OCCSIM_TRACE_CORPUS_HH
 #define OCCSIM_TRACE_CORPUS_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -68,8 +77,8 @@ bool writePackedTraceFile(const std::string &path,
 /**
  * Map an OCPC file read-only and wrap it as a PackedTrace view. The
  * header is validated (magic, version, size vs record count) and the
- * content hash is recomputed over the mapped records — a truncated or
- * corrupted file is refused, never replayed.
+ * content hash is recomputed over the mapped records on every call —
+ * a truncated or corrupted file is refused, never replayed.
  * @param word_size when non-null receives the stored word size.
  * @return the mapped trace, or nullptr with @p error set.
  */
@@ -90,8 +99,9 @@ struct CorpusEntry
 /**
  * A directory of OCPC files addressed by content hash. Thread-safe;
  * open() memoizes mappings per hash, so however many concurrent
- * requests replay one trace, it is mapped (and hash-validated) once
- * per process while any handle is alive.
+ * requests replay one trace, it is mapped once per process while any
+ * handle is alive. Its content hash is verified once per file
+ * identity (see the file comment), not once per mapping.
  */
 class TraceCorpus
 {
@@ -117,7 +127,10 @@ class TraceCorpus
 
     /**
      * Map the entry named by @p hash (canonical hex). Memoized while
-     * any returned handle is alive; validation runs once per mapping.
+     * any returned handle is alive. A new mapping always checks the
+     * header and fstats the file; the content hash is recomputed
+     * unless that fstat matches the identity of the last file that
+     * passed it for @p hash and was at least 2 s old at the time.
      * @return the trace, or nullptr with @p error set.
      */
     std::shared_ptr<const PackedTrace>
@@ -142,7 +155,32 @@ class TraceCorpus
     std::string resolve(const std::string &ref,
                         std::string *error = nullptr);
 
+    /** Mappings open() has created (each one header-checked). */
+    std::uint64_t maps() const
+    {
+        return maps_.load(std::memory_order_relaxed);
+    }
+
+    /** Full content-hash verifications open() has run so far. */
+    std::uint64_t verifies() const
+    {
+        return verifies_.load(std::memory_order_relaxed);
+    }
+
   private:
+    /** What fstat says about a file; equal identities mean the bytes
+     *  have not been rewritten or replaced since. */
+    struct FileIdentity
+    {
+        std::uint64_t dev = 0;
+        std::uint64_t ino = 0;
+        std::int64_t size = 0;
+        std::int64_t mtimeNs = 0;
+        std::int64_t ctimeNs = 0;
+
+        bool operator==(const FileIdentity &) const = default;
+    };
+
     std::string entryPath(const std::string &hash) const;
 
     std::string dir_;
@@ -152,6 +190,11 @@ class TraceCorpus
         mapped_;
     /** hash -> word size, filled by open()/entries(). */
     std::unordered_map<std::string, std::uint32_t> wordSize_;
+    /** hash -> identity of the last file whose content hash passed
+     *  and which was old enough to trust (not racy). */
+    std::unordered_map<std::string, FileIdentity> verified_;
+    std::atomic<std::uint64_t> maps_{0};
+    std::atomic<std::uint64_t> verifies_{0};
 };
 
 } // namespace occsim

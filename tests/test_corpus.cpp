@@ -5,7 +5,9 @@
  * (the OCPC bytes ARE packedTraceShared's bytes); duplicate content
  * must be stored once and addressed by one hash; a corrupted or
  * truncated file must be refused with a clear error, never replayed;
- * and runSweep's packedTraces path over mapped corpus entries must be
+ * TraceCorpus::open must re-hash a file only when its fstat identity
+ * changed or it is younger than the 2 s racy-file window; and
+ * runSweep's packedTraces path over mapped corpus entries must be
  * bit-identical to the ordinary VectorTrace path for the same grid.
  */
 
@@ -15,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -82,6 +85,17 @@ corruptFile(const std::string &path, std::size_t offset)
     file.seekp(static_cast<std::streamoff>(offset));
     file.write(&byte, 1);
 }
+
+/** Outwait the corpus's 2 s racy-file window, so the next verified
+ *  open of a just-written entry remembers the file's identity. */
+void
+ageEntries()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(2100));
+}
+
+/** Byte offset of a record deep inside a test entry's records. */
+constexpr std::size_t kCorruptOffset = 64 + 1024 * sizeof(PackedRecord) + 3;
 
 } // namespace
 
@@ -345,4 +359,79 @@ TEST_F(CorpusTest, ConcurrentWritersOfOneEntryAllSucceed)
     const std::vector<CorpusEntry> entries = corpus.entries();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].hash, hash);
+}
+
+TEST_F(CorpusTest, OldFileIsHashedOncePerIdentity)
+{
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ageEntries();
+
+    std::string error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    // The handle is dropped, so this open maps the file again; its
+    // fstat identity is unchanged, so the hash is not recomputed.
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    EXPECT_EQ(corpus.maps(), 2u);
+    EXPECT_EQ(corpus.verifies(), 1u);
+}
+
+TEST_F(CorpusTest, YoungFileIsHashedOnEveryMap)
+{
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+
+    // Written just now: inside the racy window, an in-place write
+    // could share the verified state's timestamps, so every map
+    // re-verifies.
+    std::string error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    EXPECT_EQ(corpus.maps(), 2u);
+    EXPECT_EQ(corpus.verifies(), 2u);
+}
+
+TEST_F(CorpusTest, InPlaceCorruptionAfterRememberedVerifyIsRefused)
+{
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ageEntries();
+    std::string error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    ASSERT_EQ(corpus.verifies(), 1u);  // the identity is remembered
+
+    // The write moves the file's ctime, so the remembered identity no
+    // longer matches and the next open recomputes the hash.
+    corruptFile(dir_ + "/" + hash + ".opc", kCorruptOffset);
+    EXPECT_EQ(corpus.open(hash, &error), nullptr);
+    EXPECT_NE(error.find("hash"), std::string::npos) << error;
+    EXPECT_EQ(corpus.verifies(), 2u);
+}
+
+TEST_F(CorpusTest, ReplacementByRenameIsReverified)
+{
+    const auto packed = packedTraceShared(suiteTrace(0));
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    const std::string path = dir_ + "/" + hash + ".opc";
+    ageEntries();
+    std::string error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+    ASSERT_EQ(corpus.verifies(), 1u);  // the identity is remembered
+
+    // A corrupted copy renamed over the entry: a new inode, so the
+    // remembered identity does not apply.
+    const std::string tmp = dir_ + "/replacement";
+    ASSERT_TRUE(writePackedTraceFile(tmp, *packed, 2, &error)) << error;
+    corruptFile(tmp, kCorruptOffset);
+    ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+    EXPECT_EQ(corpus.open(hash, &error), nullptr);
+    EXPECT_NE(error.find("hash"), std::string::npos) << error;
+    EXPECT_EQ(corpus.verifies(), 2u);
 }

@@ -6,16 +6,21 @@
  * manifest); any identity-field difference must miss; served results
  * must be bit-identical to a direct runSweep of the same cells; N
  * concurrent clients must each see exactly their own bit-identical
- * stream; and the socket layer must stream the same frames end to
- * end.
+ * stream; the socket layer must stream the same frames end to end;
+ * and a request whose cells all hit must never map or hash a corpus
+ * file, while a miss on a corrupt file still rejects the request.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -440,6 +445,171 @@ TEST_F(ServeTest, SocketRoundTripStreamsTheSameFrames)
     ::close(fd);
     server_->stop();
     EXPECT_EQ(server_->activeConnections(), 0u);
+}
+
+TEST_F(ServeTest, AllHitRepeatsNeitherMapNorHashTheCorpus)
+{
+    const WireRequest request = sweepRequest();
+    Responses warm;
+    ASSERT_TRUE(server_->execute(
+        request, [&](const std::string &p) { return warm.collect(p); }));
+    Responses first_hit;
+    ASSERT_TRUE(server_->execute(request, [&](const std::string &p) {
+        return first_hit.collect(p);
+    }));
+    const ServeStats before = server_->stats();
+
+    for (int i = 0; i < 20; ++i) {
+        Responses repeat;
+        ASSERT_TRUE(server_->execute(request, [&](const std::string &p) {
+            return repeat.collect(p);
+        }));
+        EXPECT_EQ(repeat.results(), first_hit.results()) << "repeat " << i;
+    }
+
+    const ServeStats after = server_->stats();
+    EXPECT_EQ(after.corpusMaps, before.corpusMaps);
+    EXPECT_EQ(after.corpusVerifies, before.corpusVerifies);
+    EXPECT_EQ(after.cacheHits,
+              before.cacheHits + 20 * request.configs.size());
+
+    // The stats op reports the same counts on the wire.
+    WireRequest stats_op;
+    stats_op.op = "stats";
+    Responses reply;
+    ASSERT_TRUE(server_->execute(stats_op, [&](const std::string &p) {
+        return reply.collect(p);
+    }));
+    obs::JsonValue value;
+    ASSERT_TRUE(obs::parseJson(reply.terminal(), value));
+    ASSERT_NE(value.find("corpus_maps"), nullptr);
+    ASSERT_NE(value.find("corpus_verifies"), nullptr);
+    EXPECT_EQ(value.find("corpus_maps")->asU64(), after.corpusMaps);
+    EXPECT_EQ(value.find("corpus_verifies")->asU64(),
+              after.corpusVerifies);
+}
+
+TEST_F(ServeTest, AllHitRequestForDeletedEntryIsRejected)
+{
+    const WireRequest request = sweepRequest();
+    Responses warm;
+    ASSERT_TRUE(server_->execute(
+        request, [&](const std::string &p) { return warm.collect(p); }));
+
+    // Every cell is cached, but resolve still checks the entry exists.
+    ASSERT_EQ(::unlink((dir_ + "/" + hash0_ + ".opc").c_str()), 0);
+    Responses responses;
+    EXPECT_FALSE(server_->execute(request, [&](const std::string &p) {
+        return responses.collect(p);
+    }));
+    ASSERT_EQ(responses.frames.size(), 1u);
+    EXPECT_NE(responses.terminal().find("\"type\":\"error\""),
+              std::string::npos);
+}
+
+TEST_F(ServeTest, MissOnCorruptEntryIsRejectedAndQueuesNoJob)
+{
+    WireRequest request = sweepRequest();
+    request.configs.resize(1);
+    Responses warm;
+    ASSERT_TRUE(server_->execute(
+        request, [&](const std::string &p) { return warm.collect(p); }));
+
+    // Flip a record byte of the second trace, which nothing has
+    // mapped yet. The request hits on trace 0 and misses once on
+    // trace 1.
+    {
+        const std::string path = dir_ + "/" + hash1_ + ".opc";
+        std::fstream file(path,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(file.good());
+        const std::streamoff offset = 64 + 512 * sizeof(PackedRecord) + 5;
+        file.seekg(offset);
+        char byte = 0;
+        file.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x10);
+        file.seekp(offset);
+        file.write(&byte, 1);
+    }
+    request.traces = {hash0_, hash1_};
+    request.label = "test_serve_corrupt";
+    const ServeStats before = server_->stats();
+    const std::uint64_t hit_count =
+        counterValue(telemetry_, "serve.cache_hit");
+    const std::uint64_t miss_count =
+        counterValue(telemetry_, "serve.cache_miss");
+
+    Responses responses;
+    EXPECT_FALSE(server_->execute(request, [&](const std::string &p) {
+        return responses.collect(p);
+    }));
+    ASSERT_EQ(responses.frames.size(), 1u);
+    EXPECT_NE(responses.terminal().find("content hash mismatch"),
+              std::string::npos)
+        << responses.terminal();
+
+    // A rejected request counts as neither a sweep nor a hit/miss in
+    // telemetry; the result cache's own counters saw its lookups.
+    const ServeStats after = server_->stats();
+    EXPECT_EQ(after.sweeps, before.sweeps);
+    EXPECT_EQ(after.rejected, before.rejected + 1);
+    EXPECT_EQ(after.cacheHits, before.cacheHits + 1);
+    EXPECT_EQ(after.cacheMisses, before.cacheMisses + 1);
+    EXPECT_EQ(counterValue(telemetry_, "serve.cache_hit"), hit_count);
+    EXPECT_EQ(counterValue(telemetry_, "serve.cache_miss"), miss_count);
+
+    // Draining the dispatchers runs every queued job: none ran.
+    server_->stop();
+    for (const obs::SweepRecord &record : obs::currentManifest().sweeps)
+        EXPECT_NE(record.label, "serve:test_serve_corrupt");
+}
+
+TEST_F(ServeTest, OpensStayCorrectWhileTheEntryIsReplaced)
+{
+    // Four threads open and drop one entry while a fifth renames
+    // fresh identical copies over it. The entry is old enough at the
+    // start for its identity to be remembered; each replacement is a
+    // new, young file and is re-verified.
+    const auto packed = packedTraceShared(trace0_);
+    const std::string path = dir_ + "/" + hash0_ + ".opc";
+    const std::uint32_t word_size = server_->corpus().wordSize(hash0_);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2100));
+
+    constexpr int kReaders = 4;
+    constexpr int kReplacements = 8;
+    std::atomic<bool> replacing{true};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kReaders; ++r) {
+        threads.emplace_back([&] {
+            // At least a few opens each, and keep opening until the
+            // last replacement has landed.
+            for (int i = 0; i < 8 || replacing.load(); ++i) {
+                std::string error;
+                const auto mapped = server_->corpus().open(hash0_, &error);
+                if (mapped == nullptr || mapped->size() != packed->size() ||
+                    std::memcmp(mapped->data(), packed->data(),
+                                packed->size() * sizeof(PackedRecord)) !=
+                        0) {
+                    ++failures;
+                    ADD_FAILURE() << "open " << i << ": " << error;
+                }
+            }
+        });
+    }
+    threads.emplace_back([&] {
+        for (int i = 0; i < kReplacements; ++i) {
+            std::string error;
+            if (!writePackedTraceFile(path, *packed, word_size, &error)) {
+                ++failures;
+                ADD_FAILURE() << error;
+            }
+        }
+        replacing = false;
+    });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(ServeConfigValidation, MirrorsGeometryRulesNonFatally)
