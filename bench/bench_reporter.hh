@@ -16,6 +16,7 @@
 #ifndef OCCSIM_BENCH_BENCH_REPORTER_HH
 #define OCCSIM_BENCH_BENCH_REPORTER_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -35,6 +36,19 @@ millisSince(std::chrono::steady_clock::time_point start)
 {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(elapsed).count();
+}
+
+/** Median of @p samples (the mean of the middle two when even). */
+inline double
+median(std::vector<double> samples)
+{
+    if (samples.empty())
+        return 0.0;
+    std::sort(samples.begin(), samples.end());
+    const std::size_t mid = samples.size() / 2;
+    return samples.size() % 2 == 1
+               ? samples[mid]
+               : (samples[mid - 1] + samples[mid]) / 2.0;
 }
 
 /**

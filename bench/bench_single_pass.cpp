@@ -1,29 +1,41 @@
 /**
  * @file
- * Direct-vs-single-pass wall-clock comparison for a full Table 1
- * size x associativity sweep: every power-of-two net size from 64 B
- * to 8 KB crossed with associativities 1/2/4/8 at the paper's
- * standard 8-byte block (sub-block == block), over every trace of
- * the PDP-11 suite.
+ * Direct vs single-pass vs batched wall-clock comparison for a full
+ * Table 1 size x associativity sweep: every power-of-two net size
+ * from 64 B to 8 KB crossed with associativities 1/2/4/8 at the
+ * paper's standard 8-byte block (sub-block == block), over every
+ * trace of the PDP-11 suite.
  *
- * Both engines run on the same thread pool (OCCSIM_THREADS): the
- * direct engine as one task per (trace, config) — PR 1's
- * parallelism — and the fast path as one SinglePassEngine per trace
- * with one task per set-count level, pricing the whole grid in one
- * trace pass per level. A bit-identity check between the two result
- * sets makes the CI smoke run double as a correctness gate: exit
- * status is non-zero if any result disagrees.
+ * All three engines run on the same thread pool (OCCSIM_THREADS):
+ *
+ *  - direct: one task per (trace, config), the reference path;
+ *  - single-pass: Auto routes the whole grid to one SinglePassEngine
+ *    per trace, one task per set-count level;
+ *  - batched: one BatchReplay per trace driven directly, one task
+ *    per tile. It is the simplest engine that covers these configs,
+ *    so speedup_vs_batch is the ratio the single-pass engine has to
+ *    earn its keep against.
+ *
+ * Each engine runs kTrials times, interleaved (direct, single-pass,
+ * batched, then again), and the JSON reports the median of each. A
+ * bit-identity check of both fast result sets against direct makes
+ * the CI smoke run double as a correctness gate: exit status is
+ * non-zero if any result disagrees. There is no timing gate.
  *
  * Prints a human-readable summary plus one machine-readable JSON
- * line (prefix "BENCH_JSON "). Trace generation is excluded from
- * both timings; OCCSIM_TRACE_LEN and OCCSIM_THREADS apply as usual.
+ * line (prefix "BENCH_JSON "). Trace generation and packing are
+ * excluded from every timing; OCCSIM_TRACE_LEN and OCCSIM_THREADS
+ * apply as usual.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "bench_reporter.hh"
 #include "harness/experiment.hh"
+#include "multi/batch_replay.hh"
 #include "multi/sweep_api.hh"
 #include "util/str.hh"
 #include "workload/suites.hh"
@@ -32,6 +44,8 @@ using namespace occsim;
 using bench::millisSince;
 
 namespace {
+
+constexpr int kTrials = 3;
 
 std::vector<CacheConfig>
 sizeAssocGrid(std::uint32_t word_size)
@@ -49,6 +63,30 @@ sizeAssocGrid(std::uint32_t word_size)
     return configs;
 }
 
+/** The batched engine over every trace: one pool task per tile. */
+std::vector<std::vector<SweepResult>>
+batchGrid(const std::vector<std::shared_ptr<const PackedTrace>> &packed,
+          const std::vector<CacheConfig> &configs)
+{
+    std::vector<std::unique_ptr<BatchReplay>> engines;
+    std::vector<std::pair<std::size_t, std::size_t>> tasks;
+    for (std::size_t t = 0; t < packed.size(); ++t) {
+        engines.push_back(std::make_unique<BatchReplay>(configs));
+        for (std::size_t tile = 0; tile < engines[t]->numTiles();
+             ++tile)
+            tasks.emplace_back(t, tile);
+    }
+    globalThreadPool().parallelFor(tasks.size(), [&](std::size_t i) {
+        const auto [t, tile] = tasks[i];
+        engines[t]->runTile(tile, *packed[t]);
+    });
+    std::vector<std::vector<SweepResult>> results;
+    results.reserve(engines.size());
+    for (const auto &engine : engines)
+        results.push_back(engine->results());
+    return results;
+}
+
 } // namespace
 
 int
@@ -60,52 +98,72 @@ main()
 
     std::printf("single-pass sweep engine benchmark: %s suite, "
                 "%zu traces x %zu configs (Table 1 size x assoc "
-                "grid, 8-byte blocks), %llu refs/trace, %u threads\n",
+                "grid, 8-byte blocks), %llu refs/trace, %u threads, "
+                "median of %d interleaved trials\n",
                 suite.profile.name.c_str(), suite.traces.size(),
                 configs.size(),
                 static_cast<unsigned long long>(defaultTraceLength()),
-                threads);
+                threads, kTrials);
 
-    // Build every trace up front (untimed; shared read-only by both
-    // engines).
+    // Build and pack every trace up front (untimed; shared read-only
+    // by all engines).
     const auto traces = buildSuiteTraces(suite);
+    std::vector<std::shared_ptr<const PackedTrace>> packed;
+    for (const auto &trace : traces)
+        packed.push_back(packedTraceShared(trace));
 
-    // Reference: the per-config direct engine (PR 1's parallel
-    // grid), forced for every config.
-    const auto direct_start = std::chrono::steady_clock::now();
-    const auto direct_results = bench::sweepGrid(
-        traces, configs, nullptr, SweepEngine::DirectOnly);
-    const double direct_ms = millisSince(direct_start);
+    std::vector<double> direct_ms, fast_ms, batch_ms;
+    std::size_t mismatches = 0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        // Reference: the per-config direct engine, forced for every
+        // config.
+        auto start = std::chrono::steady_clock::now();
+        const auto direct_results = bench::sweepGrid(
+            traces, configs, nullptr, SweepEngine::DirectOnly);
+        direct_ms.push_back(millisSince(start));
 
-    // Fast path: every config here is single-pass eligible, so Auto
-    // routes the whole grid to one engine per trace, one task per
-    // set-count level.
-    const auto fast_start = std::chrono::steady_clock::now();
-    const auto fast_results = bench::sweepGrid(traces, configs);
-    const double fast_ms = millisSince(fast_start);
+        // Fast path: every config here is single-pass eligible, so
+        // Auto routes the whole grid to one engine per trace.
+        start = std::chrono::steady_clock::now();
+        const auto fast_results = bench::sweepGrid(traces, configs);
+        fast_ms.push_back(millisSince(start));
 
-    const bool bit_identical =
-        bench::diffResultSets(direct_results, fast_results) == 0;
+        start = std::chrono::steady_clock::now();
+        const auto batch_results = batchGrid(packed, configs);
+        batch_ms.push_back(millisSince(start));
 
-    const double speedup = fast_ms > 0.0 ? direct_ms / fast_ms : 0.0;
+        mismatches +=
+            bench::diffResultSets(direct_results, fast_results) +
+            bench::diffResultSets(direct_results, batch_results);
+    }
+    const bool bit_identical = mismatches == 0;
+
+    const double direct = bench::median(direct_ms);
+    const double fast = bench::median(fast_ms);
+    const double batch = bench::median(batch_ms);
+    const double speedup = fast > 0.0 ? direct / fast : 0.0;
+    const double speedup_vs_batch = fast > 0.0 ? batch / fast : 0.0;
     std::printf("direct (per-config): %.1f ms\n"
                 "single-pass:         %.1f ms\n"
-                "speedup:             %.2fx\n"
+                "batched:             %.1f ms\n"
+                "speedup vs direct:   %.2fx\n"
+                "speedup vs batched:  %.2fx\n"
                 "bit-identical results: %s\n",
-                direct_ms, fast_ms, speedup,
+                direct, fast, batch, speedup, speedup_vs_batch,
                 bit_identical ? "yes" : "NO");
 
     return bench::finishBench(
         "single_pass",
         strfmt("{\"bench\":\"single_pass\","
                "\"suite\":\"%s\",\"traces\":%zu,\"configs\":%zu,"
-               "\"refs_per_trace\":%llu,\"threads\":%u,"
+               "\"refs_per_trace\":%llu,\"threads\":%u,\"trials\":%d,"
                "\"direct_ms\":%.3f,\"fast_ms\":%.3f,"
-               "\"speedup\":%.3f,\"bit_identical\":%s}",
+               "\"batch_ms\":%.3f,\"speedup\":%.3f,"
+               "\"speedup_vs_batch\":%.3f,\"bit_identical\":%s}",
                suite.profile.name.c_str(), suite.traces.size(),
                configs.size(),
                static_cast<unsigned long long>(defaultTraceLength()),
-               threads, direct_ms, fast_ms, speedup,
-               bit_identical ? "true" : "false"),
+               threads, kTrials, direct, fast, batch, speedup,
+               speedup_vs_batch, bit_identical ? "true" : "false"),
         /*gate_enforced=*/true, bit_identical);
 }

@@ -5,7 +5,7 @@
  *
  * occsim has three independent ways to price one cache configuration
  * — the direct Cache/SectorCache engines, the runSweep routing
- * layer, and the Fenwick-tree SinglePassEngine — all
+ * layer, and the bounded-MRU-stack SinglePassEngine — all
  * promising bit-identical results. This file supplies the fourth,
  * trusted leg of the comparison: every structure is a plain
  * std::vector<bool> or an explicit list, every policy is written out

@@ -10,126 +10,33 @@ namespace occsim {
 
 namespace {
 
-/** Lowest set bit of a 1-based Fenwick position. */
-inline std::size_t
-lowbit(std::size_t i)
+/**
+ * Touch @p block in one set's MRU-first stack of @p depth slots, of
+ * which @p occupied are live: move it to the front, or insert it
+ * there on a miss, evicting the LRU entry when the stack is full.
+ * @return the 1-based LRU stack distance, or 0 when the block was
+ *         not among the live entries.
+ */
+inline std::uint32_t
+touchMruStack(Addr *stack, std::uint32_t &occupied, std::uint32_t depth,
+              Addr block)
 {
-    return i & (~i + 1);
+    std::uint32_t p = 0;
+    while (p < occupied && stack[p] != block)
+        ++p;
+    const std::uint32_t distance = p < occupied ? p + 1 : 0;
+    if (distance == 0) {
+        if (occupied < depth)
+            ++occupied;
+        p = occupied - 1;
+    }
+    for (; p > 0; --p)
+        stack[p] = stack[p - 1];
+    stack[0] = block;
+    return distance;
 }
 
 } // namespace
-
-// ---------------------------------------------------------------- //
-// TouchTimeSet
-// ---------------------------------------------------------------- //
-
-std::uint64_t
-TouchTimeSet::prefix(std::size_t pos) const
-{
-    std::uint64_t sum = 0;
-    for (; pos > 0; pos -= lowbit(pos))
-        sum += tree_[pos];
-    return sum;
-}
-
-void
-TouchTimeSet::append(std::uint64_t t)
-{
-    times_.push_back(t);
-    alive_.push_back(1);
-    ++live_;
-    const std::size_t n = times_.size();
-    if (tree_.empty())
-        tree_.push_back(0);  // 1-based; slot 0 unused
-    // The Fenwick node for position n covers (n - lowbit(n), n].
-    // Every entry ever inserted sits at a position <= n, so the node's
-    // count is the total live count minus the live entries in
-    // [1, n - lowbit(n)] — a plain point-update would miss the dead
-    // entries recorded before the tree grew this far.
-    tree_.push_back(
-        static_cast<std::uint32_t>(live_ - prefix(n - lowbit(n))));
-}
-
-void
-TouchTimeSet::insertNew(std::uint64_t t)
-{
-    append(t);
-}
-
-std::uint64_t
-TouchTimeSet::touch(std::uint64_t prev, std::uint64_t t)
-{
-    // MRU fast path: the back entry is always live (entries die only
-    // when superseded by a strictly newer maximum), and locality makes
-    // re-touching the most recent block overwhelmingly common.
-    if (times_.back() == prev) {
-        times_.back() = t;
-        return 0;
-    }
-
-    const auto it = std::lower_bound(times_.begin(), times_.end(), prev);
-    const std::size_t pos =
-        static_cast<std::size_t>(it - times_.begin()) + 1;
-    const std::uint64_t above = live_ - prefix(pos);
-
-    alive_[pos - 1] = 0;
-    --live_;
-    for (std::size_t i = pos; i < tree_.size(); i += lowbit(i))
-        --tree_[i];
-
-    append(t);
-    maybeCompact();
-    return above;
-}
-
-void
-TouchTimeSet::maybeCompact()
-{
-    if (times_.size() < 64 || times_.size() <= 2 * live_)
-        return;
-    std::vector<std::uint64_t> survivors;
-    survivors.reserve(live_);
-    for (std::size_t i = 0; i < times_.size(); ++i) {
-        if (alive_[i])
-            survivors.push_back(times_[i]);
-    }
-    times_ = std::move(survivors);
-    alive_.assign(times_.size(), 1);
-    // All-alive Fenwick: node i counts its whole range.
-    tree_.assign(times_.size() + 1, 0);
-    for (std::size_t i = 1; i <= times_.size(); ++i)
-        tree_[i] = static_cast<std::uint32_t>(lowbit(i));
-}
-
-// ---------------------------------------------------------------- //
-// SetLruTracker
-// ---------------------------------------------------------------- //
-
-SetLruTracker::SetLruTracker(std::uint32_t num_sets)
-    : mask_(num_sets - 1), sets_(num_sets)
-{
-    occsim_assert(num_sets > 0 && isPowerOfTwo(num_sets),
-                  "set count must be a power of two");
-}
-
-std::uint64_t
-SetLruTracker::touch(Addr block)
-{
-    const std::uint64_t t = ++clock_;
-    TouchTimeSet &set = sets_[block & mask_];
-    const auto [it, inserted] = lastTouch_.try_emplace(block, t);
-    if (inserted) {
-        set.insertNew(t);
-        return kFirstTouch;
-    }
-    const std::uint64_t prev = it->second;
-    it->second = t;
-    return set.touch(prev, t) + 1;
-}
-
-// ---------------------------------------------------------------- //
-// SinglePassEngine
-// ---------------------------------------------------------------- //
 
 bool
 singlePassEligible(const CacheConfig &config)
@@ -208,6 +115,9 @@ SinglePassEngine::SinglePassEngine(
         }
         lv.minAssoc = min_assoc;
         lv.cap = max_assoc + 1;
+        lv.stack.assign(static_cast<std::size_t>(lv.numSets) * max_assoc,
+                        0);
+        lv.occupancy.assign(lv.numSets, 0);
         lv.hist.assign(lv.cap + 1, 0);
     }
 }
@@ -232,35 +142,45 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
             ? refs.size()
             : std::min<std::uint64_t>(max_refs, refs.size());
     const std::uint32_t block_bits = blockBits_;
-    const std::uint64_t cap = lv.cap;
-    const std::uint64_t min_assoc = lv.minAssoc;
+    const Addr set_mask = lv.numSets - 1;
+    const std::uint32_t depth = lv.cap - 1;
+    const std::uint32_t cap = lv.cap;
+    const std::uint32_t min_assoc = lv.minAssoc;
 
     for (std::uint64_t r = 0; r < limit; ++r) {
         const MemRef &ref = refs[r];
         const Addr block = ref.addr >> block_bits;
         const bool is_write = ref.isWrite();
-        const std::uint64_t d = lv.tracker.touch(block);
+        const auto set = static_cast<std::uint32_t>(block & set_mask);
+
+        // d in [1, cap]: cap means "deeper than every associativity
+        // of this level", a miss at every point. The seen-set only
+        // decides whether such a miss is a first touch, which the
+        // histogram leaves out.
+        std::uint32_t d = touchMruStack(
+            lv.stack.data() + static_cast<std::size_t>(set) * depth,
+            lv.occupancy[set], depth, block);
+        bool first_touch = false;
+        if (d == 0) {
+            d = cap;
+            first_touch = lv.seen.insert(block).second;
+        }
 
         if (!is_write) {
             ++lv.counted;
             if (ref.isInstruction())
                 ++lv.ifetches;
+            if (!first_touch)
+                ++lv.hist[d];
         } else {
             ++lv.writes;
         }
 
-        if (d != SetLruTracker::kFirstTouch) {
-            if (!is_write)
-                ++lv.hist[d < cap ? d : cap];
-            // FIFO points can miss at any LRU distance, so the
-            // level-wide shortcut only applies to pure-LRU levels.
-            if (!lv.hasFifo && d <= min_assoc)
-                continue;  // hit at every grid point of this level
-        } else if (!is_write) {
-            ++lv.firstTouches;
-        }
+        // FIFO points can miss at any LRU distance, so the level-wide
+        // shortcut only applies to pure-LRU levels.
+        if (!lv.hasFifo && d <= min_assoc)
+            continue;  // hit at every grid point of this level
 
-        const std::uint32_t set = lv.tracker.setOf(block);
         const bool is_ifetch = ref.isInstruction();
         for (GridPoint &p : lv.points) {
             // A miss is cold exactly while its set still has
@@ -296,7 +216,7 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
                 cold = seq < p.assoc;
                 ++seq;
             } else {
-                if (d != SetLruTracker::kFirstTouch && d <= p.assoc)
+                if (d <= p.assoc)
                     continue;  // hit at this associativity
                 std::uint32_t &filled = p.fills[set];
                 if (filled < p.assoc) {

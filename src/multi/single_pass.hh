@@ -34,11 +34,19 @@
  * Set refinement ties the grid together: the set index for S sets is
  * a suffix of the index for 2S sets (block & (S-1)), so every level
  * shares the same block stream and differs only in how many index
- * bits it keeps. Each level maintains per-set last-touch times in an
- * order-statistics structure (TouchTimeSet: a sorted time array plus
- * a Fenwick tree of live counts), replacing the O(depth) linear
- * stack scan of the classic implementation with an O(log depth)
- * rank query per reference.
+ * bits it keeps.
+ *
+ * A level never needs exact stack depths: it only compares the
+ * distance d against its own associativities, the largest of which
+ * is A_max, and pools everything deeper. So each level keeps just the
+ * top A_max entries of every set's LRU stack — one contiguous
+ * set-major array of block addresses, MRU first, which is exactly the
+ * content of an A_max-way LRU cache. A hit at stack position p gives
+ * d = p + 1; a miss means d > A_max (or a first touch), a miss at
+ * every grid point. The scan touches at most A_max adjacent words,
+ * and there is no per-block hash probe or tree update on the hit
+ * path. (Mattson analyzers that need unbounded distances use
+ * SetLruTracker, stack_analyzer.hh.)
  *
  * Results are bit-identical to direct Cache simulation: the engine's
  * totals are loaded into a CacheStats (CacheStats::loadDemandRun)
@@ -50,7 +58,7 @@
 #define OCCSIM_MULTI_SINGLE_PASS_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "multi/sweep_runner.hh"
@@ -58,96 +66,6 @@
 #include "util/bitops.hh"
 
 namespace occsim {
-
-/**
- * Order-statistics multiset of block last-touch times.
- *
- * Times are inserted in strictly increasing order, so the backing
- * array stays sorted by construction; a Fenwick tree over array
- * positions counts the live (not yet superseded) entries, giving
- * O(log n) rank queries and updates where the classic LRU stack
- * needs an O(n) scan. Superseded entries are dropped lazily: the
- * array is compacted once more than half of it is dead, so memory
- * stays proportional to the live set.
- */
-class TouchTimeSet
-{
-  public:
-    /** Insert @p t, which must exceed every time ever inserted. */
-    void insertNew(std::uint64_t t);
-
-    /**
-     * Re-touch: supersede the live entry @p prev with the new
-     * maximal time @p t.
-     * @return the number of live entries greater than @p prev — the
-     *         number of distinct blocks touched since, i.e. the
-     *         0-based LRU stack depth.
-     */
-    std::uint64_t touch(std::uint64_t prev, std::uint64_t t);
-
-    /** Number of live entries (distinct blocks tracked). */
-    std::uint64_t live() const { return live_; }
-
-  private:
-    /** Live entries among positions [1, pos] (1-based, inclusive). */
-    std::uint64_t prefix(std::size_t pos) const;
-
-    /** Append @p t as a live entry (t beyond every present time). */
-    void append(std::uint64_t t);
-
-    /** Drop dead entries once they dominate the array. */
-    void maybeCompact();
-
-    std::vector<std::uint64_t> times_;  ///< sorted; live and dead
-    std::vector<std::uint8_t> alive_;   ///< parallel liveness flags
-    std::vector<std::uint32_t> tree_;   ///< 1-based Fenwick of live counts
-    std::uint64_t live_ = 0;
-};
-
-/**
- * Per-set LRU stack-distance tracker: one shared hash map of block
- * last-touch times plus one TouchTimeSet per set. This is the
- * O(log depth) replacement for the linear touchStack scan, shared by
- * the Mattson analyzers (num_sets fixed) and the single-pass sweep
- * engine (one tracker per set-count level).
- */
-class SetLruTracker
-{
-  public:
-    /** Distance returned for the first touch of a block. */
-    static constexpr std::uint64_t kFirstTouch = ~0ULL;
-
-    /** @param num_sets power-of-two set count. */
-    explicit SetLruTracker(std::uint32_t num_sets);
-
-    /**
-     * Record a touch of @p block (a block address, i.e. addr >>
-     * log2(blockSize)).
-     * @return the 1-based LRU stack distance of the block within its
-     *         set, or kFirstTouch if never seen before.
-     */
-    std::uint64_t touch(Addr block);
-
-    std::uint32_t numSets() const
-    {
-        return static_cast<std::uint32_t>(mask_) + 1;
-    }
-
-    /** Set index of @p block at this tracker's set count. */
-    std::uint32_t setOf(Addr block) const
-    {
-        return static_cast<std::uint32_t>(block & mask_);
-    }
-
-    /** Distinct blocks seen so far. */
-    std::uint64_t distinctBlocks() const { return lastTouch_.size(); }
-
-  private:
-    Addr mask_;
-    std::vector<TouchTimeSet> sets_;
-    std::unordered_map<Addr, std::uint64_t> lastTouch_;
-    std::uint64_t clock_ = 0;
-};
 
 /**
  * @return true when @p config can be priced by the single-pass
@@ -169,7 +87,7 @@ bool singlePassEligible(const CacheConfig &config);
  * produces exact counted miss, cold-miss, write-miss and traffic
  * totals for every point at once.
  *
- * Levels are fully independent (each owns its tracker and counters),
+ * Levels are fully independent (each owns its stacks and counters),
  * so callers may run them concurrently — runLevel(i, trace) from
  * one task per level — or call processTrace for the sequential
  * all-levels convenience. Each level must see the trace exactly
@@ -275,26 +193,32 @@ class SinglePassEngine
      *  one high zero bit since blockSize >= 2). */
     static constexpr Addr kEmptyFrame = ~Addr(0);
 
-    /** One set count: a tracker plus every point at that count. */
+    /**
+     * One set count: a bounded per-set MRU stack plus every point at
+     * that count. stack holds numSets x (cap - 1) block addresses,
+     * set-major, MRU first; occupancy[s] of set s's slots are live.
+     * seen records every block that has reached the level; it is
+     * consulted only when the stack misses, to tell a first touch
+     * (left out of hist) from a reuse deeper than cap - 1 (pooled in
+     * hist[cap]).
+     */
     struct Level
     {
         std::uint32_t numSets = 0;
         std::uint32_t minAssoc = 0;  ///< fast hit-everywhere cutoff
         bool hasFifo = false;  ///< disables the min-assoc shortcut
-        std::uint32_t cap = 0;       ///< histogram pooling depth
-        SetLruTracker tracker;
+        std::uint32_t cap = 0;       ///< max assoc + 1: pooling depth
+        std::vector<Addr> stack;
+        std::vector<std::uint32_t> occupancy;
+        std::unordered_set<Addr> seen;
         std::vector<GridPoint> points;
         std::vector<std::uint64_t> hist;
-        std::uint64_t firstTouches = 0;  ///< counted first touches
         std::uint64_t refs = 0;
         std::uint64_t counted = 0;
         std::uint64_t ifetches = 0;
         std::uint64_t writes = 0;
 
-        explicit Level(std::uint32_t num_sets)
-            : numSets(num_sets), tracker(num_sets)
-        {
-        }
+        explicit Level(std::uint32_t num_sets) : numSets(num_sets) {}
     };
 
     std::vector<CacheConfig> configs_;

@@ -7,17 +7,24 @@
  * direct Cache simulation bit-for-bit — on real library programs, on
  * a synthetic adversarial trace, and through the runSweep fast-path
  * integration with mixed (eligible and ineligible) config lists.
+ * Every level's bounded-stack distance histogram must also equal one
+ * built from the unbounded SetLruTracker, which serves as its oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
-#include "multi/sweep_api.hh"
 #include "multi/single_pass.hh"
+#include "multi/stack_analyzer.hh"
+#include "multi/sweep_api.hh"
+#include "util/bitops.hh"
 #include "util/random.hh"
 #include "workload/suites.hh"
 #include "workload/synthetic.hh"
@@ -132,9 +139,10 @@ expectMatchesDirect(const std::vector<CacheConfig> &configs,
 }
 
 /**
- * A trace built to stress the order-statistics structure: cyclic
+ * A trace built to stress the stack-distance structures: cyclic
  * sweeps over a large footprint (anti-LRU, every distance deep, lots
- * of dead entries → compaction), tight MRU loops (fast path), a
+ * of dead tracker entries → compaction, full bounded stacks), tight
+ * MRU loops (fast path), a
  * ping-pong pair, and interleaved writes and instruction fetches.
  */
 VectorTrace
@@ -353,6 +361,17 @@ TEST(SinglePassEngine, DistanceHistogramPoolsAtCap)
     SinglePassEngine engine(configs);
     engine.processTrace(trace);
 
+    // Counted first touches, found independently of the engine: a
+    // read whose block no earlier reference (read or write) touched.
+    std::unordered_set<Addr> seen;
+    std::uint64_t first_touches = 0;
+    for (const MemRef &ref : trace.refs()) {
+        const bool first = seen.insert(ref.addr >> 4).second;
+        if (first && !ref.isWrite())
+            ++first_touches;
+    }
+    ASSERT_GT(first_touches, 0u);
+
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const CacheGeometry geom(configs[i]);
         const auto &hist = engine.distanceHistogram(geom.numSets());
@@ -363,6 +382,113 @@ TEST(SinglePassEngine, DistanceHistogramPoolsAtCap)
             hits += hist[d];
         EXPECT_EQ(counts.accesses - counts.misses, hits)
             << configs[i].fullName();
+
+        std::uint64_t mass = 0;
+        for (std::size_t d = 1; d < hist.size(); ++d)
+            mass += hist[d];
+        EXPECT_EQ(counts.accesses, first_touches + mass)
+            << configs[i].fullName();
+    }
+}
+
+namespace {
+
+/**
+ * Assert every level's distanceHistogram equals one built from the
+ * unbounded SetLruTracker: counted (read) references only, first
+ * touches left out, distances at or beyond cap pooled in hist[cap].
+ */
+void
+expectHistogramsMatchTracker(const std::vector<CacheConfig> &configs,
+                             const VectorTrace &trace)
+{
+    SinglePassEngine engine(configs);
+    engine.processTrace(trace);
+    const std::uint32_t block_bits = floorLog2(engine.blockSize());
+    ASSERT_GT(engine.numLevels(), 1u);
+
+    for (std::size_t l = 0; l < engine.numLevels(); ++l) {
+        const std::uint32_t sets = engine.levelSets(l);
+        const auto &hist = engine.distanceHistogram(sets);
+        const std::uint64_t cap = hist.size() - 1;
+
+        SetLruTracker tracker(sets);
+        std::vector<std::uint64_t> want(hist.size(), 0);
+        for (const MemRef &ref : trace.refs()) {
+            const std::uint64_t d = tracker.touch(ref.addr >> block_bits);
+            if (ref.isWrite() || d == SetLruTracker::kFirstTouch)
+                continue;
+            ++want[std::min(d, cap)];
+        }
+        EXPECT_EQ(hist, want) << sets << " sets";
+    }
+}
+
+} // namespace
+
+TEST(SinglePassEngine, HistogramsMatchUnboundedTrackerOnAdversarial)
+{
+    expectHistogramsMatchTracker(sizeAssocGrid(16, 64, 16384, 2),
+                                 adversarialTrace());
+}
+
+TEST(SinglePassEngine, HistogramsMatchUnboundedTrackerOnPdp11)
+{
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), 200000);
+    expectHistogramsMatchTracker(
+        sizeAssocGrid(8, 64, 8192, suite.profile.wordSize), *trace);
+}
+
+TEST(SinglePassEngine, DenseAndMixedLevelsMatchDirectOnly)
+{
+    // Per block size: a 1-set 128-way level, levels that carry LRU
+    // and FIFO points side by side, and both write policies — every
+    // cell must equal the forced direct engine bit for bit.
+    const Suite suite = pdp11Suite();
+    const auto pdp = buildTraceShared(suite.traces.front(), kRefs);
+    const auto adversarial =
+        std::make_shared<const VectorTrace>(adversarialTrace());
+    ThreadPool pool(2);
+
+    for (const std::uint32_t block : {4u, 16u, 64u}) {
+        std::vector<CacheConfig> configs;
+        for (const WritePolicy write :
+             {WritePolicy::WriteThrough, WritePolicy::CopyBack}) {
+            for (const ReplacementPolicy policy :
+                 {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+                // Fully associative: one set, 128 ways.
+                CacheConfig dense = makeConfig(128 * block, block,
+                                               block, 2);
+                dense.assoc = 128;
+                dense.replacement = policy;
+                dense.write = write;
+                configs.push_back(dense);
+                // 16 sets at 2 and 4 ways, LRU and FIFO.
+                for (const std::uint32_t assoc : {2u, 4u}) {
+                    CacheConfig config = makeConfig(
+                        16 * assoc * block, block, block, 2);
+                    config.assoc = assoc;
+                    config.replacement = policy;
+                    config.write = write;
+                    configs.push_back(config);
+                }
+            }
+        }
+        for (const auto &trace : {pdp, adversarial}) {
+            SinglePassEngine engine(configs);
+            ASSERT_EQ(engine.numLevels(), 2u) << block;
+            engine.processTrace(*trace);
+            const auto fast = engine.results();
+            const auto direct = sweepGrid({trace}, configs, &pool,
+                                          SweepEngine::DirectOnly)[0];
+            ASSERT_EQ(fast.size(), direct.size());
+            for (std::size_t c = 0; c < direct.size(); ++c) {
+                SCOPED_TRACE(configs[c].fullName() + " on " +
+                             trace->name());
+                expectIdentical(fast[c], direct[c]);
+            }
+        }
     }
 }
 
