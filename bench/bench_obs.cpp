@@ -55,8 +55,10 @@ constexpr const char *kBenchName = "obs";
 /** Refs per instrumented span — finer than any real engine stage. */
 constexpr std::size_t kChunk = 4096;
 
-/** Timed repetitions per regime; best-of keeps scheduler noise out. */
-constexpr int kReps = 3;
+/** Timed repetitions per regime; best-of keeps scheduler noise out.
+ *  Nine interleaved repetitions give each regime enough chances to
+ *  land one quiet repetition when heavy suites share the host. */
+constexpr int kReps = 9;
 
 double
 millisSince(std::chrono::steady_clock::time_point start)

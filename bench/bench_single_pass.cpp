@@ -6,7 +6,8 @@
  * paper's standard 8-byte block (sub-block == block), over every
  * trace of the PDP-11 suite.
  *
- * All three engines run on the same thread pool (OCCSIM_THREADS):
+ * The three engine legs run on the same thread pool (OCCSIM_THREADS;
+ * 1 when BENCH_single_pass.json is recorded):
  *
  *  - direct: one task per (trace, config), the reference path;
  *  - single-pass: Auto routes the whole grid to one SinglePassEngine
@@ -16,11 +17,17 @@
  *    so speedup_vs_batch is the ratio the single-pass engine has to
  *    earn its keep against.
  *
- * Each engine runs kTrials times, interleaved (direct, single-pass,
- * batched, then again), and the JSON reports the median of each. A
- * bit-identity check of both fast result sets against direct makes
- * the CI smoke run double as a correctness gate: exit status is
- * non-zero if any result disagrees. There is no timing gate.
+ * A fourth leg, pool, runs the single-pass grid again through Auto on
+ * a pool of hardware width (effectiveHardwareThreads()), so thread
+ * scaling is reported apart from engine speed: level_scaling =
+ * single-pass ms / pool ms, beside speedup_vs_batch, never folded
+ * into it.
+ *
+ * Each leg runs kTrials times, interleaved (direct, single-pass,
+ * batched, pool, then again), and the JSON reports the median of
+ * each. A bit-identity check of every fast result set against direct
+ * makes the CI smoke run double as a correctness gate: exit status
+ * is non-zero if any result disagrees. There is no timing gate.
  *
  * Prints a human-readable summary plus one machine-readable JSON
  * line (prefix "BENCH_JSON "). Trace generation and packing are
@@ -95,15 +102,16 @@ main()
     const Suite suite = pdp11Suite();
     const auto configs = sizeAssocGrid(suite.profile.wordSize);
     const unsigned threads = globalThreadPool().size();
+    ThreadPool wide_pool(effectiveHardwareThreads());
 
     std::printf("single-pass sweep engine benchmark: %s suite, "
                 "%zu traces x %zu configs (Table 1 size x assoc "
-                "grid, 8-byte blocks), %llu refs/trace, %u threads, "
-                "median of %d interleaved trials\n",
+                "grid, 8-byte blocks), %llu refs/trace, %u threads "
+                "(pool leg %u), median of %d interleaved trials\n",
                 suite.profile.name.c_str(), suite.traces.size(),
                 configs.size(),
                 static_cast<unsigned long long>(defaultTraceLength()),
-                threads, kTrials);
+                threads, wide_pool.size(), kTrials);
 
     // Build and pack every trace up front (untimed; shared read-only
     // by all engines).
@@ -112,7 +120,7 @@ main()
     for (const auto &trace : traces)
         packed.push_back(packedTraceShared(trace));
 
-    std::vector<double> direct_ms, fast_ms, batch_ms;
+    std::vector<double> direct_ms, fast_ms, batch_ms, pool_ms;
     std::size_t mismatches = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
         // Reference: the per-config direct engine, forced for every
@@ -132,25 +140,38 @@ main()
         const auto batch_results = batchGrid(packed, configs);
         batch_ms.push_back(millisSince(start));
 
+        // The single-pass grid again, its level tasks spread over a
+        // hardware-width pool.
+        start = std::chrono::steady_clock::now();
+        const auto pool_results =
+            bench::sweepGrid(traces, configs, &wide_pool);
+        pool_ms.push_back(millisSince(start));
+
         mismatches +=
             bench::diffResultSets(direct_results, fast_results) +
-            bench::diffResultSets(direct_results, batch_results);
+            bench::diffResultSets(direct_results, batch_results) +
+            bench::diffResultSets(direct_results, pool_results);
     }
     const bool bit_identical = mismatches == 0;
 
     const double direct = bench::median(direct_ms);
     const double fast = bench::median(fast_ms);
     const double batch = bench::median(batch_ms);
+    const double pool = bench::median(pool_ms);
     const double speedup = fast > 0.0 ? direct / fast : 0.0;
     const double speedup_vs_batch = fast > 0.0 ? batch / fast : 0.0;
+    const double level_scaling = pool > 0.0 ? fast / pool : 0.0;
     std::printf("direct (per-config): %.1f ms\n"
                 "single-pass:         %.1f ms\n"
                 "batched:             %.1f ms\n"
+                "single-pass, %2u thr: %.1f ms\n"
                 "speedup vs direct:   %.2fx\n"
                 "speedup vs batched:  %.2fx\n"
+                "level scaling:       %.2fx (%u -> %u threads)\n"
                 "bit-identical results: %s\n",
-                direct, fast, batch, speedup, speedup_vs_batch,
-                bit_identical ? "yes" : "NO");
+                direct, fast, batch, wide_pool.size(), pool, speedup,
+                speedup_vs_batch, level_scaling, threads,
+                wide_pool.size(), bit_identical ? "yes" : "NO");
 
     return bench::finishBench(
         "single_pass",
@@ -159,11 +180,14 @@ main()
                "\"refs_per_trace\":%llu,\"threads\":%u,\"trials\":%d,"
                "\"direct_ms\":%.3f,\"fast_ms\":%.3f,"
                "\"batch_ms\":%.3f,\"speedup\":%.3f,"
-               "\"speedup_vs_batch\":%.3f,\"bit_identical\":%s}",
+               "\"speedup_vs_batch\":%.3f,\"pool_threads\":%u,"
+               "\"pool_ms\":%.3f,\"level_scaling\":%.3f,"
+               "\"bit_identical\":%s}",
                suite.profile.name.c_str(), suite.traces.size(),
                configs.size(),
                static_cast<unsigned long long>(defaultTraceLength()),
                threads, kTrials, direct, fast, batch, speedup,
-               speedup_vs_batch, bit_identical ? "true" : "false"),
+               speedup_vs_batch, wide_pool.size(), pool, level_scaling,
+               bit_identical ? "true" : "false"),
         /*gate_enforced=*/true, bit_identical);
 }

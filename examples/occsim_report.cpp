@@ -431,27 +431,29 @@ printSummary(const std::string &path, const JsonValue &doc)
     if (const JsonValue *engines = doc.find("engines");
         engines != nullptr && !engines->items.empty()) {
         TableWriter table(
-            {"engine", "refs", "wall ms", "Mrefs/s"});
+            {"engine", "refs", "wall ms", "cpu ms", "Mrefs/s"});
         for (const JsonValue &engine : engines->items) {
             table.addRow(
                 {stringAt(engine, "name"),
                  strfmt("%.0f", numberAt(engine, "refs")),
                  strfmt("%.2f", numberAt(engine, "wall_ms")),
+                 strfmt("%.2f", numberAt(engine, "cpu_ms")),
                  strfmt("%.2f", numberAt(engine, "mrefs_per_sec"))});
         }
-        std::printf("engine breakdown (wall time summed across "
-                    "threads):\n");
+        std::printf("engine breakdown (wall and thread CPU time "
+                    "summed across threads):\n");
         table.print(std::cout);
         std::printf("\n");
     }
 
     if (const JsonValue *stages = doc.find("stages");
         stages != nullptr && !stages->items.empty()) {
-        TableWriter table({"stage", "calls", "wall ms"});
+        TableWriter table({"stage", "calls", "wall ms", "cpu ms"});
         for (const JsonValue &stage : stages->items) {
             table.addRow({stringAt(stage, "name"),
                           strfmt("%.0f", numberAt(stage, "calls")),
-                          strfmt("%.2f", numberAt(stage, "wall_ms"))});
+                          strfmt("%.2f", numberAt(stage, "wall_ms")),
+                          strfmt("%.2f", numberAt(stage, "cpu_ms"))});
         }
         std::printf("stage breakdown:\n");
         table.print(std::cout);

@@ -10,6 +10,10 @@ namespace occsim {
 
 namespace {
 
+/** FIFO ring sentinel: no block (block addresses have at least one
+ *  high zero bit since blockSize >= 2). */
+constexpr Addr kEmptyFrame = ~Addr(0);
+
 /**
  * Touch @p block in one set's MRU-first stack of @p depth slots, of
  * which @p occupied are live: move it to the front, or insert it
@@ -37,6 +41,28 @@ touchMruStack(Addr *stack, std::uint32_t &occupied, std::uint32_t depth,
 }
 
 } // namespace
+
+/**
+ * A grid point's pass state, owned by the task running its level:
+ * running totals plus per-set replacement state. The totals are
+ * published to the level's GridPoint when the pass ends.
+ */
+struct SinglePassEngine::PointPass
+{
+    GridPoint point;
+    /** LRU points: per-set fill count, saturated at assoc — a miss is
+     *  cold while its set still has never-filled frames. */
+    std::vector<std::uint32_t> fills;
+    /** FIFO points: resident block address per frame (set-major,
+     *  kEmptyFrame when never filled). FIFO has no stack inclusion,
+     *  so each point simulates its own residency. */
+    std::vector<Addr> ring;
+    /** FIFO points: per-set fill sequence number. The frame filled by
+     *  the n-th miss of a set is n % assoc — first-invalid-way fills
+     *  followed by round-robin FIFO victims, exactly the direct
+     *  Cache's order — and the miss is cold iff n < assoc. */
+    std::vector<std::uint64_t> fillSeq;
+};
 
 bool
 singlePassEligible(const CacheConfig &config)
@@ -89,19 +115,8 @@ SinglePassEngine::SinglePassEngine(
             }
         }
         if (pi == lv.points.size()) {
-            GridPoint point;
-            point.assoc = assoc;
-            point.policy = policy;
-            if (policy == ReplacementPolicy::FIFO) {
-                point.ring.assign(
-                    static_cast<std::size_t>(sets) * assoc,
-                    kEmptyFrame);
-                point.fillSeq.assign(sets, 0);
-                lv.hasFifo = true;
-            } else {
-                point.fills.assign(sets, 0);
-            }
-            lv.points.push_back(std::move(point));
+            lv.points.push_back(GridPoint{assoc, policy});
+            lv.hasFifo |= policy == ReplacementPolicy::FIFO;
         }
         configPoint_.emplace_back(li, pi);
     }
@@ -115,9 +130,6 @@ SinglePassEngine::SinglePassEngine(
         }
         lv.minAssoc = min_assoc;
         lv.cap = max_assoc + 1;
-        lv.stack.assign(static_cast<std::size_t>(lv.numSets) * max_assoc,
-                        0);
-        lv.occupancy.assign(lv.numSets, 0);
         lv.hist.assign(lv.cap + 1, 0);
     }
 }
@@ -136,6 +148,7 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
     occsim_assert(level < levels_.size(), "level out of range");
     OCCSIM_TELEM_STAGE("engine.single_pass");
     Level &lv = levels_[level];
+    occsim_assert(!lv.ran, "level %zu already ran", level);
     const std::vector<MemRef> &refs = trace.refs();
     const std::uint64_t limit =
         max_refs == 0
@@ -146,43 +159,61 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
     const std::uint32_t depth = lv.cap - 1;
     const std::uint32_t cap = lv.cap;
     const std::uint32_t min_assoc = lv.minAssoc;
+    const bool has_fifo = lv.hasFifo;
+
+    // Everything the pass writes is allocated here, on the task's own
+    // thread, and published to lv only after the last reference.
+    const std::size_t num_sets = lv.numSets;
+    std::vector<Addr> stack(num_sets * depth, 0);
+    std::vector<std::uint32_t> occupancy(num_sets, 0);
+    std::vector<std::uint64_t> hist(cap + 1, 0);
+    std::vector<PointPass> points(lv.points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        PointPass &p = points[i];
+        p.point = lv.points[i];
+        if (p.point.policy == ReplacementPolicy::FIFO) {
+            p.ring.assign(num_sets * p.point.assoc, kEmptyFrame);
+            p.fillSeq.assign(num_sets, 0);
+        } else {
+            p.fills.assign(num_sets, 0);
+        }
+    }
+    std::uint64_t counted = 0;
+    std::uint64_t ifetches = 0;
+    std::uint64_t writes = 0;
 
     for (std::uint64_t r = 0; r < limit; ++r) {
         const MemRef &ref = refs[r];
         const Addr block = ref.addr >> block_bits;
         const bool is_write = ref.isWrite();
+        const bool is_ifetch = ref.isInstruction();
         const auto set = static_cast<std::uint32_t>(block & set_mask);
 
         // d in [1, cap]: cap means "deeper than every associativity
-        // of this level", a miss at every point. The seen-set only
-        // decides whether such a miss is a first touch, which the
-        // histogram leaves out.
-        std::uint32_t d = touchMruStack(
-            lv.stack.data() + static_cast<std::size_t>(set) * depth,
-            lv.occupancy[set], depth, block);
-        bool first_touch = false;
-        if (d == 0) {
+        // of this level" (a deep reuse or a first touch), a miss at
+        // every point.
+        std::uint32_t d =
+            touchMruStack(stack.data() + std::size_t{set} * depth,
+                          occupancy[set], depth, block);
+        if (d == 0)
             d = cap;
-            first_touch = lv.seen.insert(block).second;
-        }
 
         if (!is_write) {
-            ++lv.counted;
-            if (ref.isInstruction())
-                ++lv.ifetches;
-            if (!first_touch)
-                ++lv.hist[d];
+            ++counted;
+            if (is_ifetch)
+                ++ifetches;
+            ++hist[d];
         } else {
-            ++lv.writes;
+            ++writes;
         }
 
         // FIFO points can miss at any LRU distance, so the level-wide
         // shortcut only applies to pure-LRU levels.
-        if (!lv.hasFifo && d <= min_assoc)
+        if (!has_fifo && d <= min_assoc)
             continue;  // hit at every grid point of this level
 
-        const bool is_ifetch = ref.isInstruction();
-        for (GridPoint &p : lv.points) {
+        for (PointPass &pass : points) {
+            GridPoint &p = pass.point;
             // A miss is cold exactly while its set still has
             // never-filled frames: invalid ways are filled before the
             // replacement victim, and both read and write misses
@@ -195,8 +226,7 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
                 // No inclusion property: probe this point's own
                 // resident ring for the set.
                 Addr *ways =
-                    p.ring.data() +
-                    static_cast<std::size_t>(set) * p.assoc;
+                    pass.ring.data() + std::size_t{set} * p.assoc;
                 bool hit = false;
                 for (std::uint32_t w = 0; w < p.assoc; ++w) {
                     if (ways[w] == block) {
@@ -211,14 +241,14 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
                 // then onFill's move-to-back makes the FIFO victim
                 // walk the ways round-robin from way 0 — the direct
                 // Cache's exact sequence.
-                std::uint64_t &seq = p.fillSeq[set];
+                std::uint64_t &seq = pass.fillSeq[set];
                 ways[seq % p.assoc] = block;
                 cold = seq < p.assoc;
                 ++seq;
             } else {
                 if (d <= p.assoc)
                     continue;  // hit at this associativity
-                std::uint32_t &filled = p.fills[set];
+                std::uint32_t &filled = pass.fills[set];
                 if (filled < p.assoc) {
                     ++filled;
                     cold = true;
@@ -235,7 +265,16 @@ SinglePassEngine::runLevel(std::size_t level, const VectorTrace &trace,
             }
         }
     }
-    lv.refs += limit;
+
+    // Publish: the only writes this task makes to shared state.
+    for (std::size_t i = 0; i < points.size(); ++i)
+        lv.points[i] = points[i].point;
+    lv.hist = std::move(hist);
+    lv.refs = limit;
+    lv.counted = counted;
+    lv.ifetches = ifetches;
+    lv.writes = writes;
+    lv.ran = true;
     OCCSIM_TELEM_COUNT("engine.single_pass.refs",
                        limit * lv.points.size());
     OCCSIM_TELEM_COUNT("engine.single_pass.bytes",

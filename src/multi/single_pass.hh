@@ -42,11 +42,20 @@
  * top A_max entries of every set's LRU stack — one contiguous
  * set-major array of block addresses, MRU first, which is exactly the
  * content of an A_max-way LRU cache. A hit at stack position p gives
- * d = p + 1; a miss means d > A_max (or a first touch), a miss at
- * every grid point. The scan touches at most A_max adjacent words,
- * and there is no per-block hash probe or tree update on the hit
- * path. (Mattson analyzers that need unbounded distances use
- * SetLruTracker, stack_analyzer.hh.)
+ * d = p + 1; a miss means d > A_max, a miss at every grid point,
+ * which the histogram pools in hist[A_max + 1] whether it is a deep
+ * reuse or a first touch (Mattson's "infinite distance"). The scan
+ * touches at most A_max adjacent words, and there is no per-block
+ * hash probe or tree update anywhere. (Mattson analyzers that need
+ * unbounded distances use SetLruTracker, stack_analyzer.hh.)
+ *
+ * Each level is one task that owns its mutable state outright: the
+ * constructor only plans levels and grid points, and runLevel
+ * allocates the MRU stack, FIFO rings and fill counts on its own
+ * thread, keeps every counter and the histogram in locals, and
+ * publishes the totals to its Level once, at the end. Concurrently
+ * running levels therefore never write a shared cache line per
+ * reference, so level tasks scale with the pool.
  *
  * Results are bit-identical to direct Cache simulation: the engine's
  * totals are loaded into a CacheStats (CacheStats::loadDemandRun)
@@ -58,7 +67,6 @@
 #define OCCSIM_MULTI_SINGLE_PASS_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "multi/sweep_runner.hh"
@@ -87,11 +95,12 @@ bool singlePassEligible(const CacheConfig &config);
  * produces exact counted miss, cold-miss, write-miss and traffic
  * totals for every point at once.
  *
- * Levels are fully independent (each owns its stacks and counters),
- * so callers may run them concurrently — runLevel(i, trace) from
- * one task per level — or call processTrace for the sequential
- * all-levels convenience. Each level must see the trace exactly
- * once.
+ * Levels are fully independent: runLevel builds a level's stacks,
+ * rings and counters on the calling thread and writes the level's
+ * totals once when it returns, so callers may run distinct levels
+ * concurrently — runLevel(i, trace) from one task per level — or
+ * call processTrace for the sequential all-levels convenience. Each
+ * level must see the trace exactly once.
  *
  * Exactness caveat: eviction-side bookkeeping that SweepResult does
  * not consume (residency histograms, copy-back write-back traffic)
@@ -130,7 +139,8 @@ class SinglePassEngine
 
     /**
      * Drive level @p level over @p trace (up to @p max_refs refs,
-     * 0 = all). Levels are independent; distinct levels may run
+     * 0 = all). The pass runs on task-local state and publishes the
+     * level's totals once, on return; distinct levels may run
      * concurrently. A level can only be run once.
      * @return references consumed.
      */
@@ -154,9 +164,12 @@ class SinglePassEngine
     /**
      * Counted-reference LRU stack-distance histogram of the level
      * with @p num_sets sets: hist[d] = counted refs at per-set
-     * distance d, for d in [1, cap); hist[cap] pools all deeper
-     * reuses, where cap = max associativity of the level + 1.
-     * hist[0] is unused. First touches are not in the histogram.
+     * distance d, for d in [1, cap); hist[cap] pools every counted
+     * ref that misses the level's bounded stack — deeper reuses and
+     * first touches alike (Mattson's infinite distance) — where
+     * cap = max associativity of the level + 1, so it equals the
+     * misses of the level's largest-associativity LRU point.
+     * hist[0] is unused; the buckets sum to the counted refs.
      */
     const std::vector<std::uint64_t> &
     distanceHistogram(std::uint32_t num_sets) const;
@@ -165,7 +178,8 @@ class SinglePassEngine
     std::uint64_t refs() const;
 
   private:
-    /** One (set count, associativity, replacement) grid point. */
+    /** One (set count, associativity, replacement) grid point and
+     *  its published totals. */
     struct GridPoint
     {
         std::uint32_t assoc = 0;
@@ -174,33 +188,13 @@ class SinglePassEngine
         std::uint64_t coldMisses = 0;    ///< counted cold misses
         std::uint64_t ifetchMisses = 0;
         std::uint64_t writeMisses = 0;
-        /** LRU points: per-set fill count, saturated at assoc — a
-         *  miss is cold while its set still has never-filled
-         *  frames. */
-        std::vector<std::uint32_t> fills;
-        /** FIFO points: resident block address per frame (set-major,
-         *  kEmptyFrame when never filled). FIFO has no stack
-         *  inclusion, so each point simulates its own residency. */
-        std::vector<Addr> ring;
-        /** FIFO points: per-set fill sequence number. Frame filled by
-         *  the n-th miss of a set is n % assoc — first-invalid-way
-         *  fills followed by round-robin FIFO victims, exactly the
-         *  direct Cache's order — and the miss is cold iff n < assoc. */
-        std::vector<std::uint64_t> fillSeq;
     };
 
-    /** FIFO ring sentinel: no block (block addresses have at least
-     *  one high zero bit since blockSize >= 2). */
-    static constexpr Addr kEmptyFrame = ~Addr(0);
-
     /**
-     * One set count: a bounded per-set MRU stack plus every point at
-     * that count. stack holds numSets x (cap - 1) block addresses,
-     * set-major, MRU first; occupancy[s] of set s's slots are live.
-     * seen records every block that has reached the level; it is
-     * consulted only when the stack misses, to tell a first touch
-     * (left out of hist) from a reuse deeper than cap - 1 (pooled in
-     * hist[cap]).
+     * One set count: its plan (geometry and grid points) plus the
+     * totals runLevel publishes when the level's pass ends. No field
+     * is written during the pass, so adjacent levels never share a
+     * written cache line while their tasks run.
      */
     struct Level
     {
@@ -208,9 +202,7 @@ class SinglePassEngine
         std::uint32_t minAssoc = 0;  ///< fast hit-everywhere cutoff
         bool hasFifo = false;  ///< disables the min-assoc shortcut
         std::uint32_t cap = 0;       ///< max assoc + 1: pooling depth
-        std::vector<Addr> stack;
-        std::vector<std::uint32_t> occupancy;
-        std::unordered_set<Addr> seen;
+        bool ran = false;
         std::vector<GridPoint> points;
         std::vector<std::uint64_t> hist;
         std::uint64_t refs = 0;
@@ -220,6 +212,9 @@ class SinglePassEngine
 
         explicit Level(std::uint32_t num_sets) : numSets(num_sets) {}
     };
+
+    /** A point's task-local pass state (single_pass.cc). */
+    struct PointPass;
 
     std::vector<CacheConfig> configs_;
     std::uint32_t blockBits_;

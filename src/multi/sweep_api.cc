@@ -528,6 +528,7 @@ runSweep(const SweepRequest &request)
     }
 
     const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t start_cpu_ns = obs::threadCpuNs();
     const unsigned threads =
         static_cast<unsigned>(poolOrGlobal(request.pool).size());
 
@@ -582,13 +583,15 @@ runSweep(const SweepRequest &request)
 
     // Sweep-level telemetry: an explicit request sink records
     // unconditionally; otherwise the global registry (subject to the
-    // global enable flag).
+    // global enable flag). The span's CPU time is the calling
+    // thread's; the engine.* spans carry the pool workers'.
     const auto ns = static_cast<std::uint64_t>(wall_ms * 1e6);
+    const std::uint64_t cpu_ns = obs::threadCpuNs() - start_cpu_ns;
     if (request.telemetry != nullptr) {
-        request.telemetry->stageAdd("sweep", ns);
+        request.telemetry->stageAdd("sweep", ns, cpu_ns);
         request.telemetry->counterAdd("sweep.refs", simulated);
     } else if (obs::telemetryEnabled()) {
-        obs::telemetry().stageAdd("sweep", ns);
+        obs::telemetry().stageAdd("sweep", ns, cpu_ns);
         obs::telemetry().counterAdd("sweep.refs", simulated);
     }
 

@@ -83,6 +83,7 @@ appendEngineUsage(std::vector<EngineUsage> &engines,
     for (const StageSnapshot &stage : stages) {
         if (stage.name == stage_name) {
             usage.wallMs = stage.wallMs;
+            usage.cpuMs = stage.cpuMs;
             seen = true;
         }
     }
@@ -340,6 +341,7 @@ RunManifest::toJson() const
         w.kv("name", stage.name);
         w.kv("calls", stage.calls);
         w.kv("wall_ms", stage.wallMs);
+        w.kv("cpu_ms", stage.cpuMs);
         w.endObject();
     }
     w.endArray();
@@ -351,6 +353,7 @@ RunManifest::toJson() const
         w.kv("refs", engine.refs);
         w.kv("bytes", engine.bytes);
         w.kv("wall_ms", engine.wallMs);
+        w.kv("cpu_ms", engine.cpuMs);
         w.kv("mrefs_per_sec", engine.mrefsPerSec);
         w.endObject();
     }

@@ -146,6 +146,7 @@ struct EngineUsage
     std::uint64_t refs = 0;   ///< references simulated
     std::uint64_t bytes = 0;  ///< trace bytes streamed
     double wallMs = 0.0;      ///< summed across threads
+    double cpuMs = 0.0;       ///< thread CPU time, summed likewise
     /** Millions of simulated references per wall-second (0 when the
      *  stage recorded no time). */
     double mrefsPerSec = 0.0;

@@ -30,6 +30,7 @@ struct Telemetry::Sink
     {
         std::uint64_t calls = 0;
         std::uint64_t ns = 0;
+        std::uint64_t cpuNs = 0;
     };
 
     std::mutex mutex;
@@ -86,13 +87,15 @@ Telemetry::counterAdd(std::string_view name, std::uint64_t delta)
 }
 
 void
-Telemetry::stageAdd(std::string_view name, std::uint64_t ns)
+Telemetry::stageAdd(std::string_view name, std::uint64_t ns,
+                    std::uint64_t cpu_ns)
 {
     Sink &sink = localSink();
     std::lock_guard<std::mutex> lock(sink.mutex);
     Sink::StageAgg &agg = sink.stages[std::string(name)];
     agg.calls += 1;
     agg.ns += ns;
+    agg.cpuNs += cpu_ns;
 }
 
 std::vector<CounterSnapshot>
@@ -130,6 +133,7 @@ Telemetry::stages() const
                 Sink::StageAgg &into = merged[name];
                 into.calls += agg.calls;
                 into.ns += agg.ns;
+                into.cpuNs += agg.cpuNs;
             }
         }
     }
@@ -137,7 +141,8 @@ Telemetry::stages() const
     out.reserve(merged.size());
     for (const auto &[name, agg] : merged) {
         out.push_back(StageSnapshot{
-            name, agg.calls, static_cast<double>(agg.ns) / 1e6});
+            name, agg.calls, static_cast<double>(agg.ns) / 1e6,
+            static_cast<double>(agg.cpuNs) / 1e6});
     }
     std::sort(out.begin(), out.end(),
               [](const StageSnapshot &a, const StageSnapshot &b) {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Engine telemetry: named monotonic counters and stage wall-time
- * spans, recorded through per-thread sinks and merged on snapshot.
+ * Engine telemetry: named monotonic counters and stage spans (wall
+ * time and the recording thread's CPU time), recorded through
+ * per-thread sinks and merged on snapshot.
  *
  * Design constraints (see DESIGN.md §11):
  *
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,13 +48,17 @@ struct CounterSnapshot
 };
 
 /** One merged stage span: invocation count + accumulated wall time
- *  (summed across threads, so concurrent stages can exceed the
- *  process wall clock — it is per-stage CPU-side cost). */
+ *  and thread CPU time, both summed across threads (so concurrent
+ *  stages can exceed the process wall clock). Wall well above CPU
+ *  means the span's thread waited or was time-sliced off its core;
+ *  CPU time that grows with the thread count at a fixed amount of
+ *  work means slower in-core execution (e.g. cache-line sharing). */
 struct StageSnapshot
 {
     std::string name;
     std::uint64_t calls = 0;
     double wallMs = 0.0;
+    double cpuMs = 0.0;  ///< CLOCK_THREAD_CPUTIME_ID of the spans
 };
 
 /** Registry of named monotonic counters and stage spans. */
@@ -81,8 +87,10 @@ class Telemetry
     /** Add @p delta to counter @p name (creates it at zero). */
     void counterAdd(std::string_view name, std::uint64_t delta);
 
-    /** Record one invocation of stage @p name lasting @p ns. */
-    void stageAdd(std::string_view name, std::uint64_t ns);
+    /** Record one invocation of stage @p name lasting @p ns of wall
+     *  time and @p cpu_ns of the recording thread's CPU time. */
+    void stageAdd(std::string_view name, std::uint64_t ns,
+                  std::uint64_t cpu_ns = 0);
 
     /** Merge every per-thread sink into one sorted-by-name list. */
     std::vector<CounterSnapshot> counters() const;
@@ -119,11 +127,22 @@ void setTelemetryEnabled(bool enabled);
  *  unless telemetryEnabled(). */
 inline void counterAdd(std::string_view name, std::uint64_t delta);
 
+/** CPU time the calling thread has consumed, in ns. */
+inline std::uint64_t
+threadCpuNs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+           static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 /**
- * RAII steady-clock span. Records into @p sink (or the global
- * registry when null) on destruction; when constructed against the
- * global registry while telemetry is disabled it arms nothing and
- * costs one atomic load. An explicit sink records unconditionally.
+ * RAII span: steady-clock wall time plus the thread's CPU time.
+ * Records into @p sink (or the global registry when null) on
+ * destruction; when constructed against the global registry while
+ * telemetry is disabled it arms nothing and costs one atomic load.
+ * An explicit sink records unconditionally.
  */
 class StageTimer
 {
@@ -132,8 +151,10 @@ class StageTimer
         : stage_(stage), sink_(sink),
           armed_(sink != nullptr || telemetryEnabled())
     {
-        if (armed_)
+        if (armed_) {
             start_ = std::chrono::steady_clock::now();
+            startCpuNs_ = threadCpuNs();
+        }
     }
 
     ~StageTimer() { stop(); }
@@ -147,12 +168,13 @@ class StageTimer
         if (!armed_)
             return;
         armed_ = false;
+        const std::uint64_t cpu_ns = threadCpuNs() - startCpuNs_;
         const auto ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - start_)
                 .count();
         Telemetry &target = sink_ != nullptr ? *sink_ : telemetry();
-        target.stageAdd(stage_, static_cast<std::uint64_t>(ns));
+        target.stageAdd(stage_, static_cast<std::uint64_t>(ns), cpu_ns);
     }
 
   private:
@@ -160,6 +182,7 @@ class StageTimer
     Telemetry *sink_;
     bool armed_;
     std::chrono::steady_clock::time_point start_;
+    std::uint64_t startCpuNs_ = 0;
 };
 
 inline void

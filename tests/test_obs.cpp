@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the observability layer (src/obs/): the Telemetry
  * registry (counters, stage spans, merge-across-threads, reset), the
- * StageTimer RAII span, the JSON writer/parser pair (round-trip,
+ * StageTimer RAII span and its thread CPU time, the JSON writer/parser pair (round-trip,
  * escaping, malformed-input rejection), and RunManifest
  * serialization.
  */
@@ -49,6 +49,11 @@ TEST(Telemetry, StagesCountCallsAndAccumulateTime)
     EXPECT_DOUBLE_EQ(stages[0].wallMs, 1.5);
     EXPECT_EQ(stages[1].name, "run");
     EXPECT_EQ(stages[1].calls, 1u);
+    EXPECT_EQ(stages[1].cpuMs, 0.0);  // wall-only record
+
+    telem.stageAdd("run", 1'000'000, 750'000);
+    EXPECT_DOUBLE_EQ(telem.stages()[1].wallMs, 3.0);
+    EXPECT_DOUBLE_EQ(telem.stages()[1].cpuMs, 0.75);
 }
 
 TEST(Telemetry, MergesAcrossThreads)
@@ -100,6 +105,23 @@ TEST(Telemetry, StageTimerRecordsIntoExplicitSink)
     EXPECT_EQ(stages[0].name, "scoped");
     EXPECT_EQ(stages[0].calls, 1u);
     EXPECT_GE(stages[0].wallMs, 0.0);
+}
+
+TEST(Telemetry, StageTimerRecordsThreadCpuTime)
+{
+    // A span that spins on the CPU records thread CPU time, and never
+    // more than it could have used of its own wall time.
+    obs::Telemetry telem;
+    {
+        obs::StageTimer timer("spin", &telem);
+        const std::uint64_t start = obs::threadCpuNs();
+        while (obs::threadCpuNs() - start < 2'000'000) {
+        }
+    }
+    const auto stages = telem.stages();
+    ASSERT_EQ(stages.size(), 1u);
+    EXPECT_GE(stages[0].cpuMs, 2.0);
+    EXPECT_LE(stages[0].cpuMs, stages[0].wallMs + 0.1);
 }
 
 TEST(Telemetry, StageTimerStopIsIdempotent)
@@ -249,7 +271,8 @@ TEST(Manifest, EngineUsageDerivedFromTelemetry)
     obs::setTelemetryEnabled(true);
     obs::telemetry().counterAdd("engine.batch.refs", 1000);
     obs::telemetry().counterAdd("engine.batch.bytes", 8000);
-    obs::telemetry().stageAdd("engine.batch", 2'000'000);  // 2 ms
+    obs::telemetry().stageAdd("engine.batch", 2'000'000,  // 2 ms
+                              1'000'000);                 // 1 ms CPU
 
     const obs::RunManifest manifest = obs::currentManifest();
     const obs::EngineUsage *batch = nullptr;
@@ -261,7 +284,21 @@ TEST(Manifest, EngineUsageDerivedFromTelemetry)
     EXPECT_GE(batch->refs, 1000u);
     EXPECT_GE(batch->bytes, 8000u);
     EXPECT_GT(batch->wallMs, 0.0);
+    EXPECT_GT(batch->cpuMs, 0.0);
     EXPECT_GT(batch->mrefsPerSec, 0.0);
+
+    // The JSON carries cpu_ms beside wall_ms in both arrays.
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(manifest.toJson(), doc));
+    for (const char *array : {"stages", "engines"}) {
+        const JsonValue *items = doc.find(array);
+        ASSERT_NE(items, nullptr) << array;
+        ASSERT_FALSE(items->items.empty()) << array;
+        for (const JsonValue &item : items->items) {
+            EXPECT_NE(item.find("wall_ms"), nullptr) << array;
+            EXPECT_NE(item.find("cpu_ms"), nullptr) << array;
+        }
+    }
 
     obs::setTelemetryEnabled(was_enabled);
 }

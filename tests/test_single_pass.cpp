@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -267,6 +266,55 @@ TEST(SinglePassEngine, LevelsAreIndependentTasks)
         expectIdentical(a[i], b[i]);
 }
 
+TEST(SinglePassEngine, LevelsRunConcurrentlyMatchSequential)
+{
+    // Every level of one engine driven from pool tasks at once, in
+    // reverse order, on a grid with LRU and FIFO points: the counts
+    // and histograms each task publishes must equal a sequential
+    // processTrace of a second engine. The trace is long enough for
+    // the level passes to overlap in time.
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), 200000);
+    auto configs = sizeAssocGrid(16, 64, 4096, suite.profile.wordSize);
+    for (const std::uint32_t net : {256u, 1024u}) {
+        CacheConfig fifo = makeConfig(net, 16, 16,
+                                      suite.profile.wordSize);
+        fifo.assoc = 4;
+        fifo.replacement = ReplacementPolicy::FIFO;
+        configs.push_back(fifo);
+    }
+
+    SinglePassEngine sequential(configs);
+    sequential.processTrace(*trace);
+
+    SinglePassEngine concurrent(configs);
+    const std::size_t levels = concurrent.numLevels();
+    ASSERT_GE(levels, 4u);
+    ThreadPool pool(4);
+    pool.parallelFor(levels, [&](std::size_t i) {
+        concurrent.runLevel(levels - 1 - i, *trace);
+    });
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE(configs[c].fullName());
+        const auto a = sequential.countsFor(c);
+        const auto b = concurrent.countsFor(c);
+        EXPECT_EQ(a.accesses, b.accesses);
+        EXPECT_EQ(a.misses, b.misses);
+        EXPECT_EQ(a.coldMisses, b.coldMisses);
+        EXPECT_EQ(a.ifetchAccesses, b.ifetchAccesses);
+        EXPECT_EQ(a.ifetchMisses, b.ifetchMisses);
+        EXPECT_EQ(a.writeAccesses, b.writeAccesses);
+        EXPECT_EQ(a.writeMisses, b.writeMisses);
+    }
+    for (std::size_t l = 0; l < levels; ++l) {
+        const std::uint32_t sets = sequential.levelSets(l);
+        EXPECT_EQ(concurrent.distanceHistogram(sets),
+                  sequential.distanceHistogram(sets))
+            << sets << " sets";
+    }
+}
+
 TEST(SinglePassEngine, RunSweepFastPathMatchesSequentialDirect)
 {
     // runSweep in Auto mode vs sequential direct Cache simulation on
@@ -354,24 +402,16 @@ TEST(SinglePassEngine, RunSweepAutoMatchesDirectOnly)
 
 TEST(SinglePassEngine, DistanceHistogramPoolsAtCap)
 {
-    // Histogram sanity: counted refs = first touches + histogram
-    // mass, and hits for associativity A = sum of hist[1..A].
+    // Histogram sanity: hits for associativity A = sum of
+    // hist[1..A]; the buckets sum to the counted refs, first touches
+    // included; and hist[cap] pools exactly the misses of the
+    // level's largest-associativity LRU point.
     const VectorTrace trace = adversarialTrace();
     const auto configs = sizeAssocGrid(16, 1024, 1024, 2);
     SinglePassEngine engine(configs);
     engine.processTrace(trace);
 
-    // Counted first touches, found independently of the engine: a
-    // read whose block no earlier reference (read or write) touched.
-    std::unordered_set<Addr> seen;
-    std::uint64_t first_touches = 0;
-    for (const MemRef &ref : trace.refs()) {
-        const bool first = seen.insert(ref.addr >> 4).second;
-        if (first && !ref.isWrite())
-            ++first_touches;
-    }
-    ASSERT_GT(first_touches, 0u);
-
+    std::size_t largest_points = 0;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const CacheGeometry geom(configs[i]);
         const auto &hist = engine.distanceHistogram(geom.numSets());
@@ -386,17 +426,25 @@ TEST(SinglePassEngine, DistanceHistogramPoolsAtCap)
         std::uint64_t mass = 0;
         for (std::size_t d = 1; d < hist.size(); ++d)
             mass += hist[d];
-        EXPECT_EQ(counts.accesses, first_touches + mass)
-            << configs[i].fullName();
+        EXPECT_EQ(counts.accesses, mass) << configs[i].fullName();
+
+        // cap = hist.size() - 1 = the level's largest assoc + 1.
+        if (geom.assoc() + 2 == hist.size()) {
+            EXPECT_EQ(hist.back(), counts.misses)
+                << configs[i].fullName();
+            ++largest_points;
+        }
     }
+    EXPECT_EQ(largest_points, engine.numLevels());
 }
 
 namespace {
 
 /**
  * Assert every level's distanceHistogram equals one built from the
- * unbounded SetLruTracker: counted (read) references only, first
- * touches left out, distances at or beyond cap pooled in hist[cap].
+ * unbounded SetLruTracker: counted (read) references only, with
+ * distances at or beyond cap and first touches (infinite distance)
+ * pooled in hist[cap].
  */
 void
 expectHistogramsMatchTracker(const std::vector<CacheConfig> &configs,
@@ -416,9 +464,10 @@ expectHistogramsMatchTracker(const std::vector<CacheConfig> &configs,
         std::vector<std::uint64_t> want(hist.size(), 0);
         for (const MemRef &ref : trace.refs()) {
             const std::uint64_t d = tracker.touch(ref.addr >> block_bits);
-            if (ref.isWrite() || d == SetLruTracker::kFirstTouch)
+            if (ref.isWrite())
                 continue;
-            ++want[std::min(d, cap)];
+            ++want[d == SetLruTracker::kFirstTouch ? cap
+                                                   : std::min(d, cap)];
         }
         EXPECT_EQ(hist, want) << sets << " sets";
     }
